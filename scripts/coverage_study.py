@@ -11,34 +11,16 @@ import time
 
 import numpy as np
 
-from userkit.channels import haar_unitary
-from userkit.config import (
-    ExperimentConfig,
-    observable_matrix,
-    preset_config,
-    probe_state_vector,
-)
-from userkit.lattice import build_lattice_family, build_target_hamiltonian, target_A_from_hamiltonian
+from userkit.config import Experiment, preset_config, resolve_config
 from userkit.sear import run_sear
-from userkit.user_recon import Observable, PureState
 
 
 def run_one(preset, seed, perturbation=None):
-    cfg = preset_config(preset)
-    raw = dict(cfg.raw)
-    raw["seed"] = seed
+    raw = dict(preset_config(preset).raw, seed=seed)
     if perturbation is not None:
         raw["perturbation"] = perturbation
-    cfg = ExperimentConfig(raw)
-    lat = cfg.lattice
-    fam = build_lattice_family(lat)
-    H_t = build_target_hamiltonian(lat)
-    target_A, _ = target_A_from_hamiltonian(H_t, raw["evolution_time"])
-    psi = PureState(probe_state_vector(raw["probe_state"], lat))
-    O = Observable.from_matrix(observable_matrix(raw["observable"], lat))
-    rng = np.random.default_rng(raw["seed"] + 7919)
-    twirl = [haar_unitary(lat.n_sites, rng) for _ in range(raw["n_t"])]
-    return run_sear(fam, target_A, psi, O, twirl, cfg.sear)
+    exp = Experiment.from_config(resolve_config(raw))
+    return run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
 
 
 def main():

@@ -66,7 +66,7 @@ from .sear import (
     SearResult,
     estimate_noise_strength,
     generate_approx_unitaries,
-    mean_approx_expectation,
+    reconstruct_members,
     run_sear,
 )
 from .lattice import (

@@ -137,7 +137,6 @@ def _check_target(target_A: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def design_sequence(
-    fam: Optional[HamiltonianFamily],
     target_A: np.ndarray,
     lam: float,
     kappa: int,
@@ -229,12 +228,8 @@ def design_sequence_drive_fit(
     )
 
 
-def approx_discretization_unitary(plan: SequencePlan, kappa: Optional[int] = None) -> np.ndarray:
+def approx_discretization_unitary(plan: SequencePlan) -> np.ndarray:
     """Ordered product prod_xi e^{i M_xi}; always unitary by construction."""
-    if kappa is not None and kappa != plan.kappa:
-        raise UnsupportedOrder(
-            f"plan was designed at kappa={plan.kappa}, requested {kappa}"
-        )
     d = plan.target_A.shape[0]
     U = np.eye(d, dtype=complex)
     for M in plan.magnus_terms:

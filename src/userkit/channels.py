@@ -18,6 +18,7 @@ from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
     IndexOutOfRange,
+    NotHermitian,
     NotNormalized,
     NotTracePreserving,
     NotUnitary,
@@ -97,7 +98,8 @@ def expectation(rho: DensityMatrix, O: Observable) -> float:
     if rho.dim != O.dim:
         raise DimensionMismatch(f"dims differ: rho {rho.dim}, observable {O.dim}")
     val = complex(np.trace(rho.matrix @ O.matrix))
-    assert abs(val.imag) < 1e-10, f"imaginary residue {val.imag:.3e}"
+    if abs(val.imag) >= 1e-10:
+        raise NotHermitian(f"Tr[rho O] has imaginary residue {val.imag:.3e}; observable is not Hermitian")
     return val.real
 
 

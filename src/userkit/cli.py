@@ -16,34 +16,18 @@ import sys
 
 import numpy as np
 
-from .channels import haar_unitary
 from .config import (
+    Experiment,
     ExperimentConfig,
     atomic_write_text,
     load_config,
-    observable_matrix,
     preset_config,
-    probe_state_vector,
     read_matrix_file,
+    resolve_config,
 )
 from .errors import ConfigError, UserKitError
-from .lattice import build_lattice_family, build_target_hamiltonian, target_A_from_hamiltonian
-from .aqs_magnus import EvolutionSpec, time_ordered_evolve
-from .sear import (
-    SearResult,
-    estimate_noise_strength,
-    generate_approx_unitaries,
-    mean_approx_expectation,
-    reconstruction_grids,
-)
-from .user_recon import (
-    Observable,
-    PureState,
-    aliasing_rate,
-    phase_separation,
-    sinc_reconstruct,
-    spectral_decompose,
-)
+from .sear import estimate_noise_strength, generate_approx_unitaries, run_sear
+from .user_recon import aliasing_rate, phase_separation, spectral_decompose
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -53,49 +37,24 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _build_twirl_set(cfg: ExperimentConfig, fam):
+def _write_epsilon_json(cfg: ExperimentConfig, per_k: list, noise_strength: float) -> None:
     r = cfg.raw
-    n_t = r["n_t"]
-    if r["twirl_mode"] == "haar":
-        rng = np.random.default_rng(r["seed"] + 7919)
-        return [haar_unitary(r["n_sites"], rng) for _ in range(n_t)]
-    # Simulable twirl set: AQS evolutions on a deterministic (gamma, t) grid.
-    # These are not a unitary 2-design, so the resulting noise strengths carry
-    # a set-dependent bias; the mode is recorded in the emitted metadata.
-    rng = np.random.default_rng(r["seed"] + 7919)
-    members = []
-    for _ in range(n_t):
-        gamma = r["drive_omega"] * (0.5 + rng.random())
-        t = 0.3 + 0.7 * rng.random()
-        members.append(time_ordered_evolve(fam, EvolutionSpec(gamma=gamma, t_final=t, n_steps=128)))
-    return members
+    payload = {
+        "per_k": per_k,
+        "mean": noise_strength,
+        "method": "discrete_sim/" + r["twirl_mode"],
+        "n_t": r["n_t"],
+    }
+    atomic_write_text(
+        os.path.join(r["output_dir"], "epsilon.json"),
+        json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     r = cfg.raw
-    lattice = cfg.lattice
-    sear_cfg = cfg.sear
-    fam = build_lattice_family(lattice)
-    H_t = build_target_hamiltonian(lattice)
-    target_A, rescale = target_A_from_hamiltonian(H_t, r["evolution_time"])
-    t_eff = r["evolution_time"] / rescale
-    psi = PureState(probe_state_vector(r["probe_state"], lattice))
-    O = Observable.from_matrix(observable_matrix(r["observable"], lattice))
-    twirl_set = _build_twirl_set(cfg, fam)
-
-    approx_list = generate_approx_unitaries(fam, target_A, sear_cfg)
-    grids = reconstruction_grids(psi, O, approx_list, sear_cfg)
-    mean_value, values = mean_approx_expectation(psi, O, approx_list, sear_cfg)
-    noise_strength, per_k = estimate_noise_strength(approx_list, twirl_set, psi, O, sear_cfg)
-    spread = O.spread()
-    error_bar = noise_strength * spread
-    exact = None
-    if lattice.n_sites <= 64:
-        from .matrix_core import expm_hermitian_i
-
-        U_i = expm_hermitian_i(target_A, np.pi)
-        v = U_i @ psi.amplitudes
-        exact = float(np.real(v.conj() @ O.matrix @ v))
+    exp = Experiment.from_config(cfg)
+    res = run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
 
     out_dir = r["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -103,40 +62,33 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     if "samples_csv" in emit:
         lines = ["k,eta,value"]
-        for rplan, samples in grids:
-            for j, val in enumerate(samples):
-                k = j - rplan.n_l
-                lines.append(f"{k},{_fmt(k * rplan.lam * t_eff)},{_fmt(val)}")
+        for rec in res.per_sample:
+            n_l = rec.samples.size // 2
+            for j, val in enumerate(rec.samples):
+                k = j - n_l
+                lines.append(f"{k},{_fmt(k * rec.lam * exp.t_eff)},{_fmt(val)}")
         atomic_write_text(os.path.join(out_dir, "samples.csv"), "\n".join(lines) + "\n")
 
     if "reconstruction_csv" in emit:
-        rplan, samples = grids[0]
+        rec = res.per_sample[0]
+        n_l = rec.samples.size // 2
         lines = ["eta,interpolated_value"]
-        ks = np.arange(-rplan.n_l, rplan.n_l + 1)
+        ks = np.arange(-n_l, n_l + 1)
         for eta in np.linspace(0.0, 1.2, 121):
-            w = np.sinc((eta - ks * rplan.lam) / rplan.lam)
-            lines.append(f"{_fmt(eta * t_eff)},{_fmt(float(np.dot(samples, w)))}")
+            w = np.sinc((eta - ks * rec.lam) / rec.lam)
+            lines.append(f"{_fmt(eta * exp.t_eff)},{_fmt(float(np.dot(rec.samples, w)))}")
         atomic_write_text(os.path.join(out_dir, "reconstruction.csv"), "\n".join(lines) + "\n")
 
     if "epsilon_json" in emit:
-        payload = {
-            "per_k": per_k,
-            "mean": noise_strength,
-            "method": "discrete_sim/" + r["twirl_mode"],
-            "n_t": r["n_t"],
-        }
-        atomic_write_text(
-            os.path.join(out_dir, "epsilon.json"),
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        )
+        _write_epsilon_json(cfg, [rec.epsilon for rec in res.per_sample], res.noise_strength)
 
     if "result_json" in emit:
         payload = {
-            "mean": mean_value,
-            "error_bar": error_bar,
-            "epsilon": noise_strength,
-            "spread": spread,
-            "exact": exact,
+            "mean": res.mean_value,
+            "error_bar": res.error_bar,
+            "epsilon": res.noise_strength,
+            "spread": res.spread,
+            "exact": res.exact_value,
             "config_hash": cfg.config_hash(),
         }
         atomic_write_text(
@@ -144,7 +96,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             json.dumps(payload, sort_keys=True, indent=2) + "\n",
         )
 
-    print(f"<O_i> ~ {mean_value:.12g} +/- {abs(error_bar):.12g}")
+    print(f"<O_i> ~ {res.mean_value:.12g} +/- {abs(res.error_bar):.12g}")
     return 0
 
 
@@ -165,8 +117,6 @@ def _apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
         for chunk in args.emit:
             kinds.extend(x for x in chunk.split(",") if x)
         raw["emit"] = kinds
-    from .config import resolve_config
-
     return resolve_config(raw)
 
 
@@ -196,13 +146,15 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_twirl(args) -> int:
-    cfg = load_config(args.config)
-    cfg = _apply_flags(cfg, args)
-    r = dict(cfg.raw)
-    r["emit"] = ["epsilon_json"]
-    from .config import resolve_config
-
-    return run_experiment(resolve_config(r))
+    """Ensemble and twirl stages only: no sampling or reconstruction."""
+    cfg = _apply_flags(load_config(args.config), args)
+    exp = Experiment.from_config(cfg)
+    approx_list = generate_approx_unitaries(exp.target_A, exp.sear)
+    noise_strength, per_k = estimate_noise_strength(approx_list, exp.twirl_set, exp.psi, exp.O)
+    os.makedirs(cfg.raw["output_dir"], exist_ok=True)
+    _write_epsilon_json(cfg, per_k, noise_strength)
+    print(f"epsilon ~ {noise_strength:.12g}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,13 +5,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .aqs_magnus import EvolutionSpec, time_ordered_evolve
+from .channels import haar_unitary
 from .errors import ConfigError
-from .lattice import LatticeSpec
+from .lattice import (
+    LatticeSpec,
+    build_lattice_family,
+    build_target_hamiltonian,
+    position_operator,
+    sine_momentum_operator,
+    target_A_from_hamiltonian,
+)
 from .sear import SearConfig
+from .user_recon import Observable, PureState
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +50,9 @@ KNOWN_KEYS = {
 }
 
 EMIT_KINDS = {"samples_csv", "reconstruction_csv", "epsilon_json", "result_json"}
+
+INT_KEYS = ("seed", "n_sites", "n_a", "n_t", "kappa", "n_s")
+REAL_KEYS = ("mass", "spacing", "drive_omega", "slope", "evolution_time", "perturbation", "safety")
 
 DEFAULTS = {
     "schema": SCHEMA_VERSION,
@@ -103,7 +116,6 @@ class ExperimentConfig:
         r = self.raw
         return SearConfig(
             n_a=r["n_a"],
-            n_t=r["n_t"],
             kappa=r["kappa"],
             lambdas=tuple(r["lambdas"]),
             perturbation=r["perturbation"],
@@ -132,7 +144,65 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown emit kind: {kind!r}")
     if raw["twirl_mode"] not in ("haar", "simulable"):
         raise ConfigError(f"unknown twirl_mode: {raw['twirl_mode']!r}")
-    return ExperimentConfig(raw=raw)
+    for key in INT_KEYS:
+        if type(raw[key]) is not int:
+            raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
+    for key in REAL_KEYS:
+        if type(raw[key]) not in (int, float):
+            raise ConfigError(f"{key} must be a number, got {raw[key]!r}")
+    if raw["n_t"] < 1:
+        raise ConfigError(f"n_t must be positive, got {raw['n_t']}")
+    cfg = ExperimentConfig(raw=raw)
+    try:  # their own range checks, reported as config errors
+        cfg.lattice, cfg.sear
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
+    return cfg
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything `sear.run_sear` needs, resolved from one config: the rescaled
+    target A (with the evolution time t_eff it stands for), probe, observable,
+    twirl set and ensemble settings."""
+
+    target_A: np.ndarray
+    t_eff: float
+    psi: PureState
+    O: Observable
+    twirl_set: list
+    sear: SearConfig
+
+    @classmethod
+    def from_config(cls, cfg: ExperimentConfig) -> "Experiment":
+        r = cfg.raw
+        lattice = cfg.lattice
+        H_t = build_target_hamiltonian(lattice)
+        target_A, rescale = target_A_from_hamiltonian(H_t, r["evolution_time"])
+        return cls(
+            target_A=target_A,
+            t_eff=r["evolution_time"] / rescale,
+            psi=PureState(probe_state_vector(r["probe_state"], lattice)),
+            O=Observable.from_matrix(observable_matrix(r["observable"], lattice)),
+            twirl_set=_twirl_set(r, lattice),
+            sear=cfg.sear,
+        )
+
+
+def _twirl_set(r: dict, lattice: LatticeSpec) -> list:
+    rng = np.random.default_rng(r["seed"] + 7919)
+    if r["twirl_mode"] == "haar":
+        return [haar_unitary(lattice.n_sites, rng) for _ in range(r["n_t"])]
+    # Simulable twirl set: AQS evolutions on a deterministic (gamma, t) grid.
+    # These are not a unitary 2-design, so the resulting noise strengths carry
+    # a set-dependent bias; the mode is recorded in the emitted metadata.
+    fam = build_lattice_family(lattice)
+    members = []
+    for _ in range(r["n_t"]):
+        gamma = r["drive_omega"] * (0.5 + rng.random())
+        t = 0.3 + 0.7 * rng.random()
+        members.append(time_ordered_evolve(fam, EvolutionSpec(gamma=gamma, t_final=t, n_steps=128)))
+    return members
 
 
 def preset_config(name: str) -> ExperimentConfig:
@@ -156,25 +226,26 @@ def probe_state_vector(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
     """'basis:<index>' or 'gaussian:<center>:<width>' (positions in units of a)."""
     parts = str(spec_str).split(":")
     n = lattice.n_sites
-    if parts[0] == "basis":
-        idx = int(parts[1]) if len(parts) > 1 else 0
-        if not 0 <= idx < n:
-            raise ConfigError(f"basis index {idx} out of range [0, {n})")
-        v = np.zeros(n, dtype=complex)
-        v[idx] = 1.0
-        return v
-    if parts[0] == "gaussian":
-        center = float(parts[1]) if len(parts) > 1 else 0.0
-        width = float(parts[2]) if len(parts) > 2 else 1.0
-        x = (np.arange(n) - (n - 1) / 2.0) * lattice.spacing
-        v = np.exp(-((x - center) ** 2) / (4.0 * width**2)).astype(complex)
-        return v / np.linalg.norm(v)
+    try:
+        if parts[0] == "basis":
+            idx = int(parts[1]) if len(parts) > 1 else 0
+            if not 0 <= idx < n:
+                raise ConfigError(f"probe_state basis index {idx} out of range [0, {n})")
+            v = np.zeros(n, dtype=complex)
+            v[idx] = 1.0
+            return v
+        if parts[0] == "gaussian":
+            center = float(parts[1]) if len(parts) > 1 else 0.0
+            width = float(parts[2]) if len(parts) > 2 else 1.0
+            x = (np.arange(n) - (n - 1) / 2.0) * lattice.spacing
+            v = np.exp(-((x - center) ** 2) / (4.0 * width**2)).astype(complex)
+            return v / np.linalg.norm(v)
+    except ValueError as exc:
+        raise ConfigError(f"probe_state {spec_str!r}: {exc}") from exc
     raise ConfigError(f"unknown probe_state spec: {spec_str!r}")
 
 
 def observable_matrix(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
-    from .lattice import position_operator, sine_momentum_operator
-
     parts = str(spec_str).split(":", 1)
     if parts[0] == "position":
         return position_operator(lattice)

@@ -9,21 +9,14 @@ report mean value +/- (noise strength x observable spread).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .aqs_magnus import HamiltonianFamily, SequencePlan, approx_discretization_unitary, design_sequence
-from .channels import (
-    DensityMatrix,
-    complementary_error_channel,
-    density_from_pure,
-    expectation,
-    noise_strength_from_expectation,
-    twirl_discrete,
-)
+from .aqs_magnus import SequencePlan, approx_discretization_unitary, design_sequence
+from .channels import complementary_error_channel, density_from_pure, twirl_discrete
 from .matrix_core import DEFAULT_TOL, Tolerances, eig_hermitian, expm_hermitian_i
 from .user_recon import (
     Observable,
@@ -32,21 +25,18 @@ from .user_recon import (
     min_eigenvalue_gap,
     sample_integer_powers,
     sinc_reconstruct,
-    user_reconstruct,
 )
 
 
 @dataclass(frozen=True)
 class SearConfig:
     n_a: int
-    n_t: int
     kappa: int = 2
     lambdas: tuple = (0.25, 0.2, 0.125, 0.1)
     perturbation: float = 0.0
     safety: float = 10.0
     seed: int = 0
     n_s: int = 4
-    direct_eval: bool = False  # ablation: skip USER, evaluate samples directly
 
     def __post_init__(self):
         lams = tuple(float(x) for x in self.lambdas)
@@ -57,16 +47,20 @@ class SearConfig:
             raise ValueError("every lambda must lie in (0, 1/2)")
         if self.kappa not in (1, 2):
             raise ValueError("kappa must be 1 or 2")
-        if self.n_t < 1 or self.n_a < 1:
-            raise ValueError("n_a and n_t must be positive")
+        if self.n_a < 1:
+            raise ValueError("n_a must be positive")
 
 
 @dataclass(frozen=True)
 class SampleRecord:
+    """One ensemble member: its step, reconstructed value, noise strength, and
+    the integer-power sample grid (k = -n_l .. n_l) the value came from."""
+
     index: int
     lam: float
     value: float
     epsilon: Optional[float] = None
+    samples: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -80,19 +74,17 @@ class SearResult:
 
 
 def generate_approx_unitaries(
-    fam: Optional[HamiltonianFamily],
     target_A: np.ndarray,
     config: SearConfig,
     tol: Tolerances = DEFAULT_TOL,
-) -> list[tuple[np.ndarray, SequencePlan]]:
-    """One approximate intermediate unitary per ensemble index k: design a
-    sequence at lambda^(k), form the discretization unitary, raise it to
-    tau^(k) = round(1/lambda^(k))."""
+) -> list[tuple[np.ndarray, np.ndarray, SequencePlan]]:
+    """One ensemble member (U_k, U_sd, plan) per index k: design a sequence at
+    lambda^(k), form the discretization unitary U_sd, and raise it to
+    tau^(k) = round(1/lambda^(k)) for U_k."""
     seeds = np.random.SeedSequence(config.seed).generate_state(config.n_a)
     out = []
     for k, lam in enumerate(config.lambdas):
         plan = design_sequence(
-            fam,
             target_A,
             lam,
             config.kappa,
@@ -103,66 +95,40 @@ def generate_approx_unitaries(
         )
         U_sd = approx_discretization_unitary(plan)
         tau = int(round(1.0 / lam))
-        U_k = np.linalg.matrix_power(U_sd, tau)
-        out.append((U_k, plan))
+        out.append((np.linalg.matrix_power(U_sd, tau), U_sd, plan))
     return out
 
 
-def _reconstruction_plan(plan: SequencePlan, safety: float, tol: Tolerances) -> ReconstructionPlan:
-    gap = min_eigenvalue_gap(eig_hermitian(plan.target_A, tol), tol)
-    return ReconstructionPlan.from_gap(gap, plan.lam, safety)
-
-
-def reconstruction_grids(
+def reconstruct_members(
     psi: PureState,
     O: Observable,
-    approx_list: Sequence[tuple[np.ndarray, SequencePlan]],
+    approx_list: Sequence[tuple[np.ndarray, np.ndarray, SequencePlan]],
     config: SearConfig,
     tol: Tolerances = DEFAULT_TOL,
-) -> list[tuple[ReconstructionPlan, np.ndarray]]:
-    """Per ensemble index: the reconstruction plan and the raw sample grid
-    obtained by integer powers of that index's discretization unitary."""
-    grids = []
-    for _, plan in approx_list:
-        U_sd = approx_discretization_unitary(plan)
-        rplan = _reconstruction_plan(plan, config.safety, tol)
-        grids.append((rplan, sample_integer_powers(psi, O, U_sd, rplan.n_l)))
-    return grids
-
-
-def mean_approx_expectation(
-    psi: PureState,
-    O: Observable,
-    approx_list: Sequence[tuple[np.ndarray, SequencePlan]],
-    config: SearConfig,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, list[float]]:
-    """Arithmetic mean of the per-sample reconstructed expectation values."""
+) -> list[tuple[float, np.ndarray]]:
+    """Per ensemble member: the sinc-reconstructed eta = 1 value and the grid of
+    integer-power samples of its U_sd it was interpolated from.  All members
+    share one target A, so its eigenvalue gap is taken once."""
     if not approx_list:
         raise ValueError("approx_list must be nonempty")
-    if config.direct_eval:
-        values = []
-        for U_k, _ in approx_list:
-            v = U_k @ psi.amplitudes
-            values.append(float(np.real(v.conj() @ O.matrix @ v)))
-    else:
-        values = [
-            sinc_reconstruct(samples, rplan.lam)
-            for rplan, samples in reconstruction_grids(psi, O, approx_list, config, tol)
-        ]
-    return float(np.mean(values)), values
+    gap = min_eigenvalue_gap(eig_hermitian(approx_list[0][2].target_A, tol), tol)
+    out = []
+    for _, U_sd, plan in approx_list:
+        rplan = ReconstructionPlan.from_gap(gap, plan.lam, config.safety)
+        samples = sample_integer_powers(psi, O, U_sd, rplan.n_l)
+        out.append((sinc_reconstruct(samples, rplan.lam), samples))
+    return out
 
 
 def estimate_noise_strength(
-    approx_list: Sequence[tuple[np.ndarray, SequencePlan]],
+    approx_list: Sequence[tuple[np.ndarray, np.ndarray, SequencePlan]],
     twirl_set: Sequence[np.ndarray],
     psi: PureState,
     O: Observable,
-    config: SearConfig,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[float, list[float]]:
     """Per-k discrete twirl of the complementary defect channel, then the mean."""
-    unitaries = [U for U, _ in approx_list]
+    unitaries = [U_k for U_k, _, _ in approx_list]
     probe = density_from_pure(psi)
     per_k = []
     for k in range(len(unitaries)):
@@ -173,7 +139,6 @@ def estimate_noise_strength(
 
 
 def run_sear(
-    fam: Optional[HamiltonianFamily],
     target_A: np.ndarray,
     psi: PureState,
     O: Observable,
@@ -181,17 +146,16 @@ def run_sear(
     config: SearConfig,
     tol: Tolerances = DEFAULT_TOL,
 ) -> SearResult:
-    approx_list = generate_approx_unitaries(fam, target_A, config, tol)
-    mean_value, values = mean_approx_expectation(psi, O, approx_list, config, tol)
+    approx_list = generate_approx_unitaries(target_A, config, tol)
+    members = reconstruct_members(psi, O, approx_list, config, tol)
+    mean_value = float(np.mean([value for value, _ in members]))
     spread = O.spread()
     if spread <= tol.tol_eig:
         # Zero-spread observables (multiples of the identity) cannot resolve a
         # noise strength, and do not need one: the error bar is zero anyway.
         noise_strength, per_k = 0.0, [0.0] * config.n_a
     else:
-        noise_strength, per_k = estimate_noise_strength(
-            approx_list, twirl_set, psi, O, config, tol
-        )
+        noise_strength, per_k = estimate_noise_strength(approx_list, twirl_set, psi, O, tol)
     error_bar = noise_strength * spread
     exact_value = None
     if target_A.shape[0] <= 64:
@@ -201,8 +165,8 @@ def run_sear(
         v = U_i @ psi.amplitudes
         exact_value = float(np.real(v.conj() @ O.matrix @ v))
     per_sample = tuple(
-        SampleRecord(index=k, lam=config.lambdas[k], value=values[k], epsilon=per_k[k])
-        for k in range(config.n_a)
+        SampleRecord(index=k, lam=config.lambdas[k], value=value, epsilon=per_k[k], samples=samples)
+        for k, (value, samples) in enumerate(members)
     )
     return SearResult(
         mean_value=mean_value,

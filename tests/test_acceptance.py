@@ -26,18 +26,8 @@ from userkit.channels import (
     twirl_haar_mc,
 )
 from userkit.cli import main
-from userkit.config import (
-    ExperimentConfig,
-    observable_matrix,
-    preset_config,
-    probe_state_vector,
-)
-from userkit.lattice import (
-    LatticeSpec,
-    build_lattice_family,
-    build_target_hamiltonian,
-    target_A_from_hamiltonian,
-)
+from userkit.config import Experiment, preset_config, resolve_config
+from userkit.lattice import LatticeSpec, build_lattice_family
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
 from userkit.oracle import exact_intermediate_expectation, mc_haar_unitary
 from userkit.sear import SearConfig, run_sear
@@ -58,22 +48,12 @@ def _report(num, name, ok, detail=""):
 
 
 def _run_preset(preset, seed, perturbation=None):
-    """End-to-end lattice run mirroring the CLI pipeline, minus artifact IO."""
-    cfg = preset_config(preset)
-    raw = dict(cfg.raw)
-    raw["seed"] = seed
+    """End-to-end lattice run on the CLI's pipeline, minus artifact IO."""
+    raw = dict(preset_config(preset).raw, seed=seed)
     if perturbation is not None:
         raw["perturbation"] = perturbation
-    cfg = ExperimentConfig(raw)
-    lat = cfg.lattice
-    fam = build_lattice_family(lat)
-    H_t = build_target_hamiltonian(lat)
-    target_A, _ = target_A_from_hamiltonian(H_t, raw["evolution_time"])
-    psi = PureState(probe_state_vector(raw["probe_state"], lat))
-    O = Observable.from_matrix(observable_matrix(raw["observable"], lat))
-    rng = np.random.default_rng(raw["seed"] + 7919)
-    twirl = [haar_unitary(lat.n_sites, rng) for _ in range(raw["n_t"])]
-    return run_sear(fam, target_A, psi, O, twirl, cfg.sear)
+    exp = Experiment.from_config(resolve_config(raw))
+    return run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
 
 
 def test_criterion_1_reconstruction_exactness():
@@ -209,9 +189,9 @@ def test_criterion_6_error_bar_identity():
         O = Observable.from_matrix(random_hermitian(rng, d))
         twirl = [haar_unitary(d, rng) for _ in range(4)]
         cfg = SearConfig(
-            n_a=2, n_t=4, lambdas=(0.25, 0.2), perturbation=1e-3, seed=i, n_s=2
+            n_a=2, lambdas=(0.25, 0.2), perturbation=1e-3, seed=i, n_s=2
         )
-        res = run_sear(None, A, psi, O, twirl, cfg)
+        res = run_sear(A, psi, O, twirl, cfg)
         worst = max(worst, abs(res.error_bar - res.noise_strength * res.spread))
     ok = worst <= 1e-12
     _report(6, "error-bar identity", ok, f"max defect={worst:.2e}")

@@ -137,41 +137,41 @@ class TestMagnusTruncated:
 class TestDesignSequence:
     def test_exact_mode(self, rng):
         A = random_target_A(rng, 4)
-        plan = design_sequence(None, A, 0.25, 2, perturbation=0.0, seed=1)
+        plan = design_sequence(A, 0.25, 2, perturbation=0.0, seed=1)
         assert plan.residual == 0.0
         U = approx_discretization_unitary(plan)
         assert np.max(np.abs(U - expm_hermitian_i(A, np.pi * 0.25))) < 1e-8
 
     def test_residual_bound(self, rng):
         A = random_target_A(rng, 4)
-        plan = design_sequence(None, A, 0.25, 2, perturbation=1e-3, seed=5, n_s=4)
+        plan = design_sequence(A, 0.25, 2, perturbation=1e-3, seed=5, n_s=4)
         assert plan.residual <= 4e-3
 
     def test_determinism(self, rng):
         A = random_target_A(rng, 3)
-        p1 = design_sequence(None, A, 0.2, 2, perturbation=1e-2, seed=9)
-        p2 = design_sequence(None, A, 0.2, 2, perturbation=1e-2, seed=9)
+        p1 = design_sequence(A, 0.2, 2, perturbation=1e-2, seed=9)
+        p2 = design_sequence(A, 0.2, 2, perturbation=1e-2, seed=9)
         for M1, M2 in zip(p1.magnus_terms, p2.magnus_terms):
             assert np.array_equal(M1, M2)
         assert p1.residual == p2.residual
 
     def test_spectrum_out_of_range(self, rng):
         with pytest.raises(SpectrumOutOfRange):
-            design_sequence(None, 2.0 * np.eye(2), 0.25, 2, 0.0, 0)
+            design_sequence(2.0 * np.eye(2), 0.25, 2, 0.0, 0)
 
 
 class TestApproxDiscretizationUnitary:
     def test_always_unitary(self, rng):
         A = random_target_A(rng, 4)
         for p in (0.0, 1e-3, 0.1, 1.0):
-            plan = design_sequence(None, A, 0.2, 2, perturbation=p, seed=3)
+            plan = design_sequence(A, 0.2, 2, perturbation=p, seed=3)
             assert is_unitary(approx_discretization_unitary(plan))
 
     def test_defect_scales_with_perturbation(self, rng):
         A = random_target_A(rng, 4)
         exact = expm_hermitian_i(A, np.pi * 0.2)
         for p in (1e-3, 1e-2):
-            plan = design_sequence(None, A, 0.2, 2, perturbation=p, seed=3)
+            plan = design_sequence(A, 0.2, 2, perturbation=p, seed=3)
             dist = np.linalg.norm(approx_discretization_unitary(plan) - exact, 2)
             assert dist <= 5.0 * p  # empirical constant ~1, generous factor
 

@@ -19,10 +19,11 @@ from userkit.channels import (
 from userkit.errors import (
     DegenerateDenominator,
     IndexOutOfRange,
+    NotHermitian,
     NotTracePreserving,
     UnphysicalEpsilon,
 )
-from userkit.matrix_core import expm_hermitian_i
+from userkit.matrix_core import eig_hermitian, expm_hermitian_i
 from userkit.user_recon import Observable, PureState
 from conftest import random_hermitian, random_state
 
@@ -71,6 +72,14 @@ class TestExpectation:
             rho.matrix[i, j] * O.matrix[j, i] for i in range(d) for j in range(d)
         )
         assert expectation(rho, O) == pytest.approx(float(np.real(oracle)), abs=1e-12)
+
+    def test_non_hermitian_observable_raises(self):
+        # Built directly, bypassing Observable.from_matrix's Hermiticity check.
+        M = np.array([[1j, 0.0], [0.0, 0.0]])
+        O = Observable(matrix=M, eig=eig_hermitian(np.eye(2)))
+        rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(NotHermitian):
+            expectation(rho, O)
 
 
 class TestApplyChannel:

@@ -7,6 +7,7 @@ import pytest
 from userkit.aqs_magnus import EvolutionSpec
 from userkit.cli import main
 from userkit.config import (
+    Experiment,
     load_config,
     preset_config,
     read_matrix_file,
@@ -23,6 +24,25 @@ from userkit.lattice import (
     target_A_from_hamiltonian,
 )
 from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
+from userkit.sear import run_sear
+
+
+def run_library(cfg_path):
+    exp = Experiment.from_config(load_config(str(cfg_path)))
+    return run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
+
+
+def write_config(tmp_path, preset, **overrides):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(preset_config(preset).raw, **overrides)))
+    return path
+
+
+def zero_spread_config(tmp_path):
+    """exact-small with the observable 2.5 * identity: spread(O) = 0."""
+    obs = tmp_path / "scalar.mat"
+    write_matrix_file(str(obs), 2.5 * np.eye(8))
+    return write_config(tmp_path, "exact-small", observable=f"file:{obs}")
 
 
 class TestLattice:
@@ -129,18 +149,20 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
         main(["preset", "exact-small", "--out-file", str(cfg_path)])
-        main(["run", str(cfg_path), "--out", str(out_dir), "--emit", "samples_csv"])
-        lines = (out_dir / "samples.csv").read_text().splitlines()
-        cfg = json.loads(cfg_path.read_text())
-        # one block of 2 n_l + 1 rows per ensemble index
-        n_rows = len(lines) - 1
-        blocks = []
-        for lam in cfg["lambdas"]:
-            ks = [int(ln.split(",")[0]) for ln in lines[1:]]
-        assert n_rows % 2 == 0 or n_rows > 0
-        # each block is symmetric around k = 0 and odd-length
-        ks = [int(ln.split(",")[0]) for ln in lines[1:]]
-        assert ks[0] < 0 and ks.count(0) == cfg["n_a"]
+        assert main(["run", str(cfg_path), "--out", str(out_dir), "--emit", "samples_csv"]) == 0
+        rows = [ln.split(",") for ln in (out_dir / "samples.csv").read_text().splitlines()[1:]]
+        res = run_library(cfg_path)
+        # one block of 2 n_l + 1 rows (k = -n_l .. n_l) per ensemble member,
+        # holding exactly that member's sample grid
+        assert len(res.per_sample) == json.loads(cfg_path.read_text())["n_a"]
+        start = 0
+        for rec in res.per_sample:
+            n_l = rec.samples.size // 2
+            block = rows[start : start + 2 * n_l + 1]
+            assert [int(k) for k, _, _ in block] == list(range(-n_l, n_l + 1))
+            assert [float(v) for _, _, v in block] == rec.samples.tolist()
+            start += 2 * n_l + 1
+        assert start == len(rows)
 
     def test_csv_roundtrip_full_precision(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -162,11 +184,44 @@ class TestCli:
             outs.append((out_dir / "result.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_unknown_key_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"not_a_key": 5}, "not_a_key"),
+            ({"n_a": 3}, "n_a"),
+            ({"probe_state": "basis:x"}, "probe_state"),
+            ({"n_sites": "8"}, "n_sites"),
+        ],
+        ids=["unknown_key", "n_a_lambdas_mismatch", "probe_basis_not_int", "n_sites_string"],
+    )
+    def test_unknown_key_exit_2(self, tmp_path, capsys, overrides, key):
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"schema": 1, "not_a_key": 5}))
-        assert main(["run", str(cfg_path)]) == 2
-        assert "not_a_key" in capsys.readouterr().err
+        cfg_path.write_text(json.dumps({"schema": 1, **overrides}))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["exact-small", "noisy-16", "zero-spread"])
+    def test_run_matches_library(self, tmp_path, preset):
+        if preset == "zero-spread":
+            cfg_path = zero_spread_config(tmp_path)
+        else:
+            cfg_path = write_config(tmp_path, preset)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+        result = json.loads((out_dir / "result.json").read_text())
+        res = run_library(cfg_path)
+        assert (result["mean"], result["epsilon"], result["error_bar"], result["exact"]) == (
+            res.mean_value,
+            res.noise_strength,
+            res.error_bar,
+            res.exact_value,
+        )
+
+    def test_twirl_zero_spread_exit_3(self, tmp_path, capsys):
+        cfg_path = zero_spread_config(tmp_path)
+        assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "DegenerateDenominator"
 
     def test_decompose(self, tmp_path, capsys):
         path = str(tmp_path / "u.txt")
@@ -179,7 +234,10 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
         main(["preset", "exact-small", "--out-file", str(cfg_path)])
-        assert main(["twirl", str(cfg_path), "--out", str(out_dir)]) == 0
+        assert main(["twirl", str(cfg_path), "--out", str(out_dir), "--seed", "3"]) == 0
         data = json.loads((out_dir / "epsilon.json").read_text())
         assert set(data) == {"per_k", "mean", "method", "n_t"}
         assert len(data["per_k"]) == 4
+        run_dir = tmp_path / "run"
+        assert main(["run", str(cfg_path), "--out", str(run_dir), "--seed", "3"]) == 0
+        assert (run_dir / "epsilon.json").read_bytes() == (out_dir / "epsilon.json").read_bytes()

@@ -7,7 +7,7 @@ from userkit.sear import (
     SearConfig,
     estimate_noise_strength,
     generate_approx_unitaries,
-    mean_approx_expectation,
+    reconstruct_members,
     run_sear,
 )
 from userkit.user_recon import Observable, PureState
@@ -26,28 +26,33 @@ def haar_twirl_set(d, n, seed):
     return [haar_unitary(d, rng) for _ in range(n)]
 
 
+def mean_reconstruction(psi, O, approx, cfg):
+    values = [value for value, _ in reconstruct_members(psi, O, approx, cfg)]
+    return float(np.mean(values)), values
+
+
 class TestGenerateApproxUnitaries:
     def test_exact_mode_integer_inverse_lambda(self, rng):
         A, _, _ = make_problem(rng)
-        cfg = SearConfig(n_a=2, n_t=10, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         U_i = expm_hermitian_i(A, np.pi)
-        for U_k, plan in generate_approx_unitaries(None, A, cfg):
+        for U_k, _, plan in generate_approx_unitaries(A, cfg):
             assert np.max(np.abs(U_k - U_i)) < 1e-8
             assert plan.residual == 0.0
 
     def test_rounding_defect_recorded(self, rng):
         A, _, _ = make_problem(rng)
-        cfg = SearConfig(n_a=1, n_t=10, lambdas=(0.3,), perturbation=0.0, seed=0)
-        (U_k, _), = generate_approx_unitaries(None, A, cfg)
+        cfg = SearConfig(n_a=1, lambdas=(0.3,), perturbation=0.0, seed=0)
+        (U_k, _, _), = generate_approx_unitaries(A, cfg)
         # tau = round(1/0.3) = 3, so the result is e^{i pi 0.9 A}, not U_i
         assert np.max(np.abs(U_k - expm_hermitian_i(A, np.pi * 0.9))) < 1e-8
 
     def test_determinism(self, rng):
         A, _, _ = make_problem(rng)
-        cfg = SearConfig(n_a=3, n_t=10, lambdas=(0.25, 0.2, 0.125), perturbation=1e-2, seed=5)
-        l1 = generate_approx_unitaries(None, A, cfg)
-        l2 = generate_approx_unitaries(None, A, cfg)
-        for (U1, _), (U2, _) in zip(l1, l2):
+        cfg = SearConfig(n_a=3, lambdas=(0.25, 0.2, 0.125), perturbation=1e-2, seed=5)
+        l1 = generate_approx_unitaries(A, cfg)
+        l2 = generate_approx_unitaries(A, cfg)
+        for (U1, _, _), (U2, _, _) in zip(l1, l2):
             assert np.array_equal(U1, U2)
 
 
@@ -55,57 +60,55 @@ class TestMeanApproxExpectation:
     def test_identity_observable(self, rng):
         A, psi, _ = make_problem(rng)
         O = Observable.from_matrix(np.eye(4))
-        cfg = SearConfig(n_a=2, n_t=10, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
-        approx = generate_approx_unitaries(None, A, cfg)
-        mean, _ = mean_approx_expectation(psi, O, approx, cfg)
+        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        approx = generate_approx_unitaries(A, cfg)
+        mean, _ = mean_reconstruction(psi, O, approx, cfg)
         assert mean == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_mode_matches_oracle(self, rng):
         from userkit.oracle import exact_intermediate_expectation
 
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, n_t=10, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
-        approx = generate_approx_unitaries(None, A, cfg)
-        mean, _ = mean_approx_expectation(psi, O, approx, cfg)
+        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        approx = generate_approx_unitaries(A, cfg)
+        mean, _ = mean_reconstruction(psi, O, approx, cfg)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         assert mean == pytest.approx(exact, abs=1e-3)
 
     def test_single_element(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=1, n_t=10, lambdas=(0.2,), perturbation=1e-2, seed=2)
-        approx = generate_approx_unitaries(None, A, cfg)
-        mean, values = mean_approx_expectation(psi, O, approx, cfg)
+        cfg = SearConfig(n_a=1, lambdas=(0.2,), perturbation=1e-2, seed=2)
+        approx = generate_approx_unitaries(A, cfg)
+        mean, values = mean_reconstruction(psi, O, approx, cfg)
         assert mean == values[0]
 
     def test_direct_eval_ablation_close_to_reconstruction(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, n_t=10, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
-        approx = generate_approx_unitaries(None, A, cfg)
-        mean_r, _ = mean_approx_expectation(psi, O, approx, cfg)
-        cfg_d = SearConfig(
-            n_a=2, n_t=10, lambdas=(0.25, 0.2), perturbation=0.0, seed=0, direct_eval=True
-        )
-        mean_d, _ = mean_approx_expectation(psi, O, approx, cfg_d)
-        assert mean_r == pytest.approx(mean_d, abs=1e-3)
+        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        approx = generate_approx_unitaries(A, cfg)
+        mean_r, _ = mean_reconstruction(psi, O, approx, cfg)
+        direct = []
+        for U_k, _, _ in approx:
+            v = U_k @ psi.amplitudes
+            direct.append(float(np.real(v.conj() @ O.matrix @ v)))
+        assert mean_r == pytest.approx(np.mean(direct), abs=1e-3)
 
 
 class TestEstimateNoiseStrength:
     def test_exact_mode_zero(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, n_t=20, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
-        approx = generate_approx_unitaries(None, A, cfg)
-        mean_eps, per_k = estimate_noise_strength(
-            approx, haar_twirl_set(4, 20, 1), psi, O, cfg
-        )
+        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        approx = generate_approx_unitaries(A, cfg)
+        mean_eps, per_k = estimate_noise_strength(approx, haar_twirl_set(4, 20, 1), psi, O)
         assert abs(mean_eps) < 1e-6
         assert all(abs(e) < 1e-6 for e in per_k)
 
     def test_duplicate_members_zero(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, n_t=20, lambdas=(0.2, 0.2), perturbation=1e-2, seed=3)
-        approx = generate_approx_unitaries(None, A, cfg)
-        dup = [(approx[0][0], approx[0][1]), (approx[0][0], approx[0][1])]
-        mean_eps, per_k = estimate_noise_strength(dup, haar_twirl_set(4, 20, 1), psi, O, cfg)
+        cfg = SearConfig(n_a=2, lambdas=(0.2, 0.2), perturbation=1e-2, seed=3)
+        approx = generate_approx_unitaries(A, cfg)
+        dup = [approx[0], approx[0]]
+        mean_eps, per_k = estimate_noise_strength(dup, haar_twirl_set(4, 20, 1), psi, O)
         assert abs(mean_eps) < 1e-10
 
     def test_matches_analytic_twirl(self, rng):
@@ -113,14 +116,14 @@ class TestEstimateNoiseStrength:
 
         A, psi, O = make_problem(rng)
         cfg = SearConfig(
-            n_a=2, n_t=500, lambdas=(0.25, 0.2), perturbation=1e-2, seed=4
+            n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=4
         )
-        approx = generate_approx_unitaries(None, A, cfg)
+        approx = generate_approx_unitaries(A, cfg)
         from userkit.channels import density_from_pure, twirl_discrete
 
         twirl_set = haar_twirl_set(4, 500, 8)
-        mean_eps, per_k = estimate_noise_strength(approx, twirl_set, psi, O, cfg)
-        unitaries = [U for U, _ in approx]
+        mean_eps, per_k = estimate_noise_strength(approx, twirl_set, psi, O)
+        unitaries = [U for U, _, _ in approx]
         probe = density_from_pure(psi)
         for k, eps_k in enumerate(per_k):
             ch = complementary_error_channel(unitaries, k)
@@ -134,41 +137,41 @@ class TestEstimateNoiseStrength:
 class TestRunSear:
     def test_exact_mode_end_to_end(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=4, n_t=50, lambdas=(0.25, 0.2, 0.125, 0.1), perturbation=0.0, seed=0)
-        res = run_sear(None, A, psi, O, haar_twirl_set(4, 50, 2), cfg)
+        cfg = SearConfig(n_a=4, lambdas=(0.25, 0.2, 0.125, 0.1), perturbation=0.0, seed=0)
+        res = run_sear(A, psi, O, haar_twirl_set(4, 50, 2), cfg)
         assert abs(res.mean_value - res.exact_value) <= 1e-3
         assert abs(res.error_bar) <= 1e-4
 
     def test_identity_observable_zero_spread(self, rng):
         A, psi, _ = make_problem(rng)
         O = Observable.from_matrix(np.eye(4))
-        cfg = SearConfig(n_a=2, n_t=20, lambdas=(0.25, 0.2), perturbation=1e-2, seed=0)
-        res = run_sear(None, A, psi, O, haar_twirl_set(4, 20, 2), cfg)
+        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=0)
+        res = run_sear(A, psi, O, haar_twirl_set(4, 20, 2), cfg)
         assert res.spread == pytest.approx(0.0, abs=1e-12)
         assert res.error_bar == pytest.approx(0.0, abs=1e-12)
 
     def test_error_bar_identity(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, n_t=30, lambdas=(0.25, 0.2), perturbation=1e-2, seed=1)
-        res = run_sear(None, A, psi, O, haar_twirl_set(4, 30, 2), cfg)
+        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=1)
+        res = run_sear(A, psi, O, haar_twirl_set(4, 30, 2), cfg)
         assert res.error_bar == res.noise_strength * res.spread
 
     def test_exact_mode_per_sample_collapse(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=3, n_t=20, lambdas=(0.25, 0.2, 0.125), perturbation=0.0, seed=0)
-        res = run_sear(None, A, psi, O, haar_twirl_set(4, 20, 2), cfg)
+        cfg = SearConfig(n_a=3, lambdas=(0.25, 0.2, 0.125), perturbation=0.0, seed=0)
+        res = run_sear(A, psi, O, haar_twirl_set(4, 20, 2), cfg)
         values = [s.value for s in res.per_sample]
         assert max(values) - min(values) < 1e-6
 
     def test_permutation_invariance_of_mean(self, rng):
         A, psi, O = make_problem(rng)
         twirl = haar_twirl_set(4, 30, 2)
-        cfg1 = SearConfig(n_a=2, n_t=30, lambdas=(0.25, 0.2), perturbation=1e-2, seed=6)
-        approx = generate_approx_unitaries(None, A, cfg1)
-        m1, _ = mean_approx_expectation(psi, O, approx, cfg1)
-        e1, _ = estimate_noise_strength(approx, twirl, psi, O, cfg1)
-        m2, _ = mean_approx_expectation(psi, O, approx[::-1], cfg1)
-        e2, _ = estimate_noise_strength(approx[::-1], twirl, psi, O, cfg1)
+        cfg1 = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=6)
+        approx = generate_approx_unitaries(A, cfg1)
+        m1, _ = mean_reconstruction(psi, O, approx, cfg1)
+        e1, _ = estimate_noise_strength(approx, twirl, psi, O)
+        m2, _ = mean_reconstruction(psi, O, approx[::-1], cfg1)
+        e2, _ = estimate_noise_strength(approx[::-1], twirl, psi, O)
         assert abs(m1 - m2) < 1e-12
         assert abs(e1 - e2) < 1e-12
 
@@ -182,10 +185,10 @@ class TestRunSear:
                 loc = np.random.default_rng(1000 + seed)
                 A, psi, O = make_problem(loc)
                 cfg = SearConfig(
-                    n_a=2, n_t=40, lambdas=(0.25, 0.2), perturbation=p, seed=seed
+                    n_a=2, lambdas=(0.25, 0.2), perturbation=p, seed=seed
                 )
-                approx = generate_approx_unitaries(None, A, cfg)
-                e, _ = estimate_noise_strength(approx, twirl, psi, O, cfg)
+                approx = generate_approx_unitaries(A, cfg)
+                e, _ = estimate_noise_strength(approx, twirl, psi, O)
                 eps.append(e)
             medians.append(np.median(eps))
         assert all(b >= a - 1e-9 for a, b in zip(medians, medians[1:]))
