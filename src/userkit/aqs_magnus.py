@@ -8,9 +8,9 @@ that e^{i Omega_1} = e^{-i int H} for commuting families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class SequencePlan:
     kappa: int
     residual: float
     specs: Optional[tuple] = None  # EvolutionSpec per member in drive-fit mode
-
-    @property
-    def n_members(self) -> int:
-        return len(self.magnus_terms)
 
 
 def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:

@@ -9,7 +9,7 @@ expectation values exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotHermitian,
-    NotNormalized,
     NotTracePreserving,
     NotUnitary,
     TraceViolation,
@@ -69,11 +68,6 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
-
-    def conjugated(self, W: np.ndarray) -> "KrausChannel":
-        """Similarity-transformed channel with Kraus operators W^dag K W."""
-        Wd = W.conj().T
-        return KrausChannel(tuple(Wd @ K @ W for K in self.kraus))
 
 
 class TwirlMethod(str, Enum):
@@ -167,12 +161,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def noise_strength_from_expectation(
-    comp_value: float,
+    comp_value: float | np.ndarray,
     rho: DensityMatrix,
     O: Observable,
     denom_floor: float = 1e-8,
-) -> float:
-    """eps = (comp_value - Tr[rho O]) / (Tr[O]/d - Tr[rho O])."""
+) -> float | np.ndarray:
+    """eps = (comp_value - Tr[rho O]) / (Tr[O]/d - Tr[rho O]), elementwise for an array."""
     t1 = expectation(rho, O)
     td = float(np.real(np.trace(O.matrix))) / O.dim
     denom = td - t1
@@ -188,58 +182,53 @@ def twirl_haar_mc(
     ch: KrausChannel,
     n_samples: int,
     seed: int,
-    probe: DensityMatrix,
+    probe: PureState,
     O: Observable,
 ) -> DepolarizingEstimate:
-    """Monte-Carlo Haar twirl: average Tr[(U^dag C U)[rho] O] over Haar samples
-    and solve the depolarizing mixing equation for eps."""
+    """Monte-Carlo Haar twirl: the discrete twirl over n_samples Haar draws."""
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     rng = np.random.default_rng(seed)
-    d = ch.dim
-    values = np.empty(n_samples)
-    for s in range(n_samples):
-        W = haar_unitary(d, rng)
-        rho_out = apply_channel(ch.conjugated(W), probe)
-        values[s] = expectation(rho_out, O)
-    t1 = expectation(probe, O)
-    td = float(np.real(np.trace(O.matrix))) / d
-    denom = td - t1
-    if abs(denom) < 1e-8:
-        raise DegenerateDenominator("probe cannot resolve the noise strength")
-    eps_samples = (values - t1) / denom
-    eps = float(np.mean(eps_samples))
-    stderr = float(np.std(eps_samples, ddof=1) / np.sqrt(n_samples))
-    return DepolarizingEstimate(epsilon=eps, stderr=stderr, method=TwirlMethod.haar_mc)
+    draws = [haar_unitary(ch.dim, rng) for _ in range(n_samples)]
+    return replace(twirl_discrete(ch, draws, probe, O), method=TwirlMethod.haar_mc)
 
 
 def twirl_discrete(
     ch: KrausChannel,
     twirl_set,
-    probe: DensityMatrix,
+    probe: PureState,
     O: Observable,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DepolarizingEstimate:
-    """Discrete twirl over an explicit unitary set: average the conjugated-channel
-    expectation values and convert to eps through the depolarizing mixing law."""
-    if not twirl_set:
+    """Discrete twirl over an explicit unitary set, on the pure probe psi.
+
+    Member W gives Tr[(W^dag C W)[|psi><psi|] O] = sum_mu <chi_mu|O|chi_mu>
+    with chi_mu = W^dag K_mu W psi, which the depolarizing mixing law turns
+    into an eps; the mean and standard error of these are reported.  The
+    output state sum_mu |chi_mu><chi_mu| is Hermitian and positive by
+    construction, so only its trace and the reality of the value are checked.
+    """
+    if len(twirl_set) == 0:
         raise ValueError("twirl_set must be nonempty")
-    values = []
-    for U_m in twirl_set:
-        U_m = as_matrix(U_m)
-        if not is_unitary(U_m, tol):
+    if not ch.dim == probe.dim == O.dim:
+        raise DimensionMismatch(f"dims differ: channel {ch.dim}, probe {probe.dim}, observable {O.dim}")
+    kraus = np.stack(ch.kraus)
+    values = np.empty(len(twirl_set))
+    for i, W in enumerate(twirl_set):
+        W = as_matrix(W)
+        if not is_unitary(W, tol):
             raise NotUnitary("twirl-set member is not unitary")
-        rho_out = apply_channel(ch.conjugated(U_m), probe)
-        values.append(expectation(rho_out, O))
-    values = np.asarray(values)
-    eps = noise_strength_from_expectation(float(np.mean(values)), probe, O)
-    if values.size > 1:
-        t1 = expectation(probe, O)
-        td = float(np.real(np.trace(O.matrix))) / O.dim
-        spread = float(np.std((values - t1) / (td - t1), ddof=1) / np.sqrt(values.size))
-    else:
-        spread = 0.0
-    return DepolarizingEstimate(epsilon=eps, stderr=spread, method=TwirlMethod.discrete_sim)
+        chi = (kraus @ (W @ probe.amplitudes)) @ W.conj()  # row mu is chi_mu
+        tr = float(np.vdot(chi, chi).real)
+        if abs(tr - 1.0) > 1e-6:
+            raise TraceViolation(f"output trace {tr:.8f} deviates from 1")
+        val = complex(np.vdot(chi, chi @ O.matrix.T))
+        if abs(val.imag) >= 1e-10:
+            raise NotHermitian(f"Tr[rho O] has imaginary residue {val.imag:.3e}; observable is not Hermitian")
+        values[i] = val.real
+    eps = noise_strength_from_expectation(values, density_from_pure(probe), O)
+    stderr = float(np.std(eps, ddof=1) / np.sqrt(eps.size)) if eps.size > 1 else 0.0
+    return DepolarizingEstimate(epsilon=float(np.mean(eps)), stderr=stderr, method=TwirlMethod.discrete_sim)
 
 
 def depolarize(rho: DensityMatrix, epsilon: float) -> DensityMatrix:

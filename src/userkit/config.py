@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,10 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
     raw.update(overrides)
     if raw["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {raw['schema']} (expected {SCHEMA_VERSION})")
+    if not isinstance(raw["emit"], list) or not all(isinstance(kind, str) for kind in raw["emit"]):
+        raise ConfigError(f"emit must be a list of strings, got {raw['emit']!r}")
+    if not isinstance(raw["output_dir"], str):
+        raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
     for kind in raw["emit"]:
         if kind not in EMIT_KINDS:
             raise ConfigError(f"unknown emit kind: {kind!r}")
@@ -148,14 +153,15 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
         if type(raw[key]) is not int:
             raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
     for key in REAL_KEYS:
-        if type(raw[key]) not in (int, float):
-            raise ConfigError(f"{key} must be a number, got {raw[key]!r}")
+        # abs(x) <= max is False for nan, +-inf and ints beyond the float range
+        if type(raw[key]) not in (int, float) or not abs(raw[key]) <= sys.float_info.max:
+            raise ConfigError(f"{key} must be a finite number, got {raw[key]!r}")
     if raw["n_t"] < 1:
         raise ConfigError(f"n_t must be positive, got {raw['n_t']}")
     cfg = ExperimentConfig(raw=raw)
     try:  # their own range checks, reported as config errors
         cfg.lattice, cfg.sear
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return cfg
 
@@ -177,13 +183,18 @@ class Experiment:
     def from_config(cls, cfg: ExperimentConfig) -> "Experiment":
         r = cfg.raw
         lattice = cfg.lattice
-        H_t = build_target_hamiltonian(lattice)
-        target_A, rescale = target_A_from_hamiltonian(H_t, r["evolution_time"])
+        try:  # extreme finite parameters can still overflow the model
+            target_A, rescale = target_A_from_hamiltonian(build_target_hamiltonian(lattice), r["evolution_time"])
+        except ValueError as exc:
+            raise ConfigError(f"lattice parameters give an invalid target Hamiltonian: {exc}") from exc
+        O = observable_matrix(r["observable"], lattice)
+        if O.shape[0] != lattice.n_sites:
+            raise ConfigError(f"observable has dimension {O.shape[0]}, n_sites is {lattice.n_sites}")
         return cls(
             target_A=target_A,
             t_eff=r["evolution_time"] / rescale,
             psi=PureState(probe_state_vector(r["probe_state"], lattice)),
-            O=Observable.from_matrix(observable_matrix(r["observable"], lattice)),
+            O=Observable.from_matrix(O),
             twirl_set=_twirl_set(r, lattice),
             sear=cfg.sear,
         )
@@ -239,7 +250,10 @@ def probe_state_vector(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
             width = float(parts[2]) if len(parts) > 2 else 1.0
             x = (np.arange(n) - (n - 1) / 2.0) * lattice.spacing
             v = np.exp(-((x - center) ** 2) / (4.0 * width**2)).astype(complex)
-            return v / np.linalg.norm(v)
+            norm = np.linalg.norm(v)
+            if not norm > 0:
+                raise ConfigError(f"probe_state {spec_str!r} is not a normalizable state on this lattice")
+            return v / norm
     except ValueError as exc:
         raise ConfigError(f"probe_state {spec_str!r}: {exc}") from exc
     raise ConfigError(f"unknown probe_state spec: {spec_str!r}")

@@ -56,10 +56,6 @@ def hermiticity_defect(H: np.ndarray) -> float:
     return float(np.max(np.abs(H - H.conj().T)))
 
 
-def is_hermitian(H: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return hermiticity_defect(as_matrix(H)) <= tol.tol_eig
-
-
 def is_unitary(U: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     U = as_matrix(U)
     d = U.shape[0]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aqs_magnus import SequencePlan, approx_discretization_unitary, design_sequence
-from .channels import complementary_error_channel, density_from_pure, twirl_discrete
+from .channels import complementary_error_channel, twirl_discrete
 from .matrix_core import DEFAULT_TOL, Tolerances, eig_hermitian, expm_hermitian_i
 from .user_recon import (
     Observable,
@@ -47,8 +47,9 @@ class SearConfig:
             raise ValueError("every lambda must lie in (0, 1/2)")
         if self.kappa not in (1, 2):
             raise ValueError("kappa must be 1 or 2")
-        if self.n_a < 1:
-            raise ValueError("n_a must be positive")
+        for name, low in (("n_a", 1), ("n_s", 1), ("safety", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -129,11 +130,10 @@ def estimate_noise_strength(
 ) -> tuple[float, list[float]]:
     """Per-k discrete twirl of the complementary defect channel, then the mean."""
     unitaries = [U_k for U_k, _, _ in approx_list]
-    probe = density_from_pure(psi)
     per_k = []
     for k in range(len(unitaries)):
         ch = complementary_error_channel(unitaries, k, tol)
-        est = twirl_discrete(ch, twirl_set, probe, O, tol)
+        est = twirl_discrete(ch, twirl_set, psi, O, tol)
         per_k.append(est.epsilon)
     return float(np.mean(per_k)), per_k
 

@@ -15,7 +15,6 @@ from conftest import random_hermitian, random_state, random_target_A
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
 from userkit.channels import (
-    KrausChannel,
     density_from_pure,
     depolarize,
     expectation,
@@ -153,7 +152,7 @@ def test_criterion_4_analytic_twirl_vs_monte_carlo():
             delta = random_hermitian(rng, d, scale=0.1)
             approx.append(expm_hermitian_i(delta, 1.0) @ U_i)
         ch = sear_error_channel(U_i, approx)
-        probe = density_from_pure(PureState(random_state(rng, d)))
+        probe = PureState(random_state(rng, d))
         O = Observable.from_matrix(random_hermitian(rng, d))
         analytic = twirl_analytic(ch)
         mc = twirl_haar_mc(ch, 2000, seed=5000 + i, probe=probe, O=O)

@@ -18,12 +18,15 @@ from userkit.channels import (
 )
 from userkit.errors import (
     DegenerateDenominator,
+    DimensionMismatch,
     IndexOutOfRange,
     NotHermitian,
     NotTracePreserving,
+    NotUnitary,
+    TraceViolation,
     UnphysicalEpsilon,
 )
-from userkit.matrix_core import eig_hermitian, expm_hermitian_i
+from userkit.matrix_core import Tolerances, eig_hermitian, expm_hermitian_i
 from userkit.user_recon import Observable, PureState
 from conftest import random_hermitian, random_state
 
@@ -177,7 +180,7 @@ class TestTwirlAnalytic:
             ch = random_mixed_unitary_channel(rng, d, 2 + trial % 3)
             psi = PureState(random_state(rng, d))
             O = Observable.from_matrix(random_hermitian(rng, d))
-            mc = twirl_haar_mc(ch, 2000, seed=trial, probe=density_from_pure(psi), O=O)
+            mc = twirl_haar_mc(ch, 2000, seed=trial, probe=psi, O=O)
             an = twirl_analytic(ch)
             assert abs(an.epsilon - mc.epsilon) <= 3.0 * mc.stderr + 1e-12
 
@@ -188,7 +191,7 @@ class TestTwirlHaarMc:
         ch = KrausChannel((np.eye(d, dtype=complex),))
         psi = PureState(random_state(rng, d))
         O = Observable.from_matrix(random_hermitian(rng, d))
-        est = twirl_haar_mc(ch, 500, seed=0, probe=density_from_pure(psi), O=O)
+        est = twirl_haar_mc(ch, 500, seed=0, probe=psi, O=O)
         assert abs(est.epsilon) <= max(3.0 * est.stderr, 1e-10)
 
     def test_fully_depolarizing_weyl(self, rng):
@@ -205,15 +208,15 @@ class TestTwirlHaarMc:
         ch = KrausChannel(ks)
         psi = PureState(random_state(rng, d))
         O = Observable.from_matrix(random_hermitian(rng, d))
-        est = twirl_haar_mc(ch, 1000, seed=3, probe=density_from_pure(psi), O=O)
+        est = twirl_haar_mc(ch, 1000, seed=3, probe=psi, O=O)
         assert abs(est.epsilon - 1.0) <= max(3.0 * est.stderr, 1e-10)
 
     def test_deterministic_under_seed(self, rng):
         ch = random_mixed_unitary_channel(rng, 2, 2)
         psi = PureState(random_state(rng, 2))
         O = Observable.from_matrix(random_hermitian(rng, 2))
-        e1 = twirl_haar_mc(ch, 200, seed=11, probe=density_from_pure(psi), O=O)
-        e2 = twirl_haar_mc(ch, 200, seed=11, probe=density_from_pure(psi), O=O)
+        e1 = twirl_haar_mc(ch, 200, seed=11, probe=psi, O=O)
+        e2 = twirl_haar_mc(ch, 200, seed=11, probe=psi, O=O)
         assert e1.epsilon == e2.epsilon and e1.stderr == e2.stderr
 
 
@@ -223,7 +226,7 @@ class TestTwirlDiscrete:
         ch = KrausChannel((np.eye(d, dtype=complex),))
         psi = PureState(random_state(rng, d))
         O = Observable.from_matrix(random_hermitian(rng, d))
-        est = twirl_discrete(ch, [np.eye(d, dtype=complex)], density_from_pure(psi), O)
+        est = twirl_discrete(ch, [np.eye(d, dtype=complex)], psi, O)
         assert est.epsilon == pytest.approx(0.0, abs=1e-12)
 
     def test_agrees_with_haar_mc(self, rng):
@@ -231,11 +234,10 @@ class TestTwirlDiscrete:
         ch = random_mixed_unitary_channel(rng, d, 3)
         psi = PureState(random_state(rng, d))
         O = Observable.from_matrix(random_hermitian(rng, d))
-        probe = density_from_pure(psi)
         rng2 = np.random.default_rng(99)
         twirl_set = [haar_unitary(d, rng2) for _ in range(500)]
-        est_d = twirl_discrete(ch, twirl_set, probe, O)
-        est_mc = twirl_haar_mc(ch, 2000, seed=1, probe=probe, O=O)
+        est_d = twirl_discrete(ch, twirl_set, psi, O)
+        est_mc = twirl_haar_mc(ch, 2000, seed=1, probe=psi, O=O)
         sigma = np.hypot(est_d.stderr, est_mc.stderr)
         assert abs(est_d.epsilon - est_mc.epsilon) <= 3.0 * sigma
 
@@ -244,11 +246,79 @@ class TestTwirlDiscrete:
         ch = random_mixed_unitary_channel(rng, d, 2)
         psi = PureState(random_state(rng, d))
         O = Observable.from_matrix(random_hermitian(rng, d))
-        probe = density_from_pure(psi)
         ts = [haar_unitary(d, rng) for _ in range(20)]
-        e1 = twirl_discrete(ch, ts, probe, O).epsilon
-        e2 = twirl_discrete(ch, ts[::-1], probe, O).epsilon
+        e1 = twirl_discrete(ch, ts, psi, O).epsilon
+        e2 = twirl_discrete(ch, ts[::-1], psi, O).epsilon
         assert abs(e1 - e2) < 1e-12
+
+
+def brute_force_twirl(ch, twirl_set, psi, O):
+    """Reference twirl on the density matrix: W^dag K W built per member."""
+    rho = density_from_pure(psi)
+    t1 = expectation(rho, O)
+    td = float(np.real(np.trace(O.matrix))) / O.dim
+    eps = []
+    for W in twirl_set:
+        conj = KrausChannel(tuple(W.conj().T @ K @ W for K in ch.kraus))
+        eps.append((expectation(apply_channel(conj, rho), O) - t1) / (td - t1))
+    return np.mean(eps), np.std(eps, ddof=1) / np.sqrt(len(eps))
+
+
+def amplitude_damping_d3(gamma):
+    """Amplitude damping |1> -> |0> on levels 0, 1 of a qutrit: not mixed-unitary."""
+    K0 = np.diag([1.0, np.sqrt(1.0 - gamma), 1.0]).astype(complex)
+    K1 = np.zeros((3, 3), dtype=complex)
+    K1[0, 1] = np.sqrt(gamma)
+    return KrausChannel((K0, K1))
+
+
+class TestTwirlKernel:
+    @pytest.mark.parametrize("kind", ["mixed_unitary", "amplitude_damping"])
+    def test_matches_density_matrix_reference(self, rng, kind):
+        d = 3
+        ch = random_mixed_unitary_channel(rng, d, 4) if kind == "mixed_unitary" else amplitude_damping_d3(0.3)
+        psi = PureState(random_state(rng, d))
+        O = Observable.from_matrix(random_hermitian(rng, d))
+        twirl_set = [haar_unitary(d, rng) for _ in range(40)]
+        est = twirl_discrete(ch, twirl_set, psi, O)
+        eps, stderr = brute_force_twirl(ch, twirl_set, psi, O)
+        assert est.epsilon == pytest.approx(eps, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+    def test_non_unitary_member_raises(self, rng):
+        ch = random_mixed_unitary_channel(rng, 2, 2)
+        psi = PureState(random_state(rng, 2))
+        O = Observable.from_matrix(Z)
+        with pytest.raises(NotUnitary):
+            twirl_discrete(ch, [np.eye(2), 1.1 * np.eye(2)], psi, O)
+
+    def test_non_hermitian_observable_raises(self):
+        # Built directly, bypassing Observable.from_matrix's Hermiticity check.
+        O = Observable(matrix=np.array([[1j, 0.0], [0.0, 0.0]]), eig=eig_hermitian(np.eye(2)))
+        ch = KrausChannel((np.eye(2, dtype=complex),))
+        with pytest.raises(NotHermitian):
+            twirl_discrete(ch, [np.eye(2)], PureState(np.array([1.0, 0.0])), O)
+
+    def test_output_trace_checked(self):
+        # A loose unitarity tolerance lets a scaled member through; the output
+        # trace 1.01^4 then fails the trace check.
+        ch = KrausChannel((np.eye(2, dtype=complex),))
+        O = Observable.from_matrix(Z)
+        with pytest.raises(TraceViolation):
+            twirl_discrete(ch, [1.01 * np.eye(2)], PureState(np.array([1.0, 0.0])), O, Tolerances(tol_unitary=1.0))
+
+    def test_dimension_mismatch(self, rng):
+        ch = KrausChannel((np.eye(3, dtype=complex),))
+        O3 = Observable.from_matrix(random_hermitian(rng, 3))
+        with pytest.raises(DimensionMismatch):
+            twirl_discrete(ch, [np.eye(3)], PureState(random_state(rng, 2)), O3)
+        with pytest.raises(DimensionMismatch):
+            twirl_discrete(ch, [np.eye(3)], PureState(random_state(rng, 3)), Observable.from_matrix(Z))
+
+    def test_empty_twirl_set(self, rng):
+        ch = KrausChannel((np.eye(2, dtype=complex),))
+        with pytest.raises(ValueError, match="nonempty"):
+            twirl_discrete(ch, [], PureState(random_state(rng, 2)), Observable.from_matrix(Z))
 
 
 class TestNoiseStrengthQuotient:

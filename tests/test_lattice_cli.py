@@ -1,12 +1,13 @@
 import json
-import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from userkit.aqs_magnus import EvolutionSpec
 from userkit.cli import main
 from userkit.config import (
+    KNOWN_KEYS,
     Experiment,
     load_config,
     preset_config,
@@ -119,6 +120,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset_config("nope")
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
+    def test_resolution_raises_only_config_error(self, data):
+        key = data.draw(st.sampled_from(sorted(KNOWN_KEYS)))
+        # Size keys take no valid value above 8, so no draw builds a large matrix.
+        ints = st.integers(max_value=8) if key in ("n_sites", "n_t", "n_a", "n_s") else st.integers()
+        scalar = st.one_of(ints, st.floats(), st.text(max_size=12), st.none(), st.booleans())
+        value = data.draw(st.one_of(scalar, st.lists(scalar, max_size=5)))
+        try:
+            Experiment.from_config(resolve_config({key: value}))
+        except ConfigError:
+            pass
+
     def test_matrix_file_roundtrip(self, tmp_path, rng):
         M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         path = str(tmp_path / "m.txt")
@@ -191,14 +206,51 @@ class TestCli:
             ({"n_a": 3}, "n_a"),
             ({"probe_state": "basis:x"}, "probe_state"),
             ({"n_sites": "8"}, "n_sites"),
+            ({"n_s": 0}, "n_s"),
+            ({"safety": 0.5}, "safety"),
+            ({"seed": -1}, "seed"),
+            ({"emit": 5}, "emit"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"spacing": float("nan")}, "spacing"),
+            ({"mass": 1e400}, "mass"),
+            ({"mass": 10**400}, "mass"),
+            ({"lambdas": [10**400, 0.2, 0.125, 0.1]}, "invalid config"),
+            ({"observable": "file:obs8.mat", "n_sites": 16}, "observable"),
+            ({"probe_state": "gaussian:0:0"}, "probe_state"),
+            ({"slope": 1e308}, "lattice"),
         ],
-        ids=["unknown_key", "n_a_lambdas_mismatch", "probe_basis_not_int", "n_sites_string"],
+        ids=[
+            "unknown_key",
+            "n_a_lambdas_mismatch",
+            "probe_basis_not_int",
+            "n_sites_string",
+            "n_s_zero",
+            "safety_below_1",
+            "seed_negative",
+            "emit_not_list",
+            "output_dir_not_string",
+            "spacing_nan",
+            "mass_overflow",
+            "mass_int_beyond_float",
+            "lambda_int_beyond_float",
+            "observable_dim_mismatch",
+            "probe_gaussian_zero_width",
+            "model_overflow",
+        ],
     )
-    def test_unknown_key_exit_2(self, tmp_path, capsys, overrides, key):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
+    def test_unknown_key_exit_2(self, tmp_path, monkeypatch, capsys, overrides, key):
+        monkeypatch.chdir(tmp_path)
+        write_matrix_file("obs8.mat", np.diag(np.arange(8.0)))
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"schema": 1, **overrides}))
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "exact-small")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset", ["exact-small", "noisy-16", "zero-spread"])
     def test_run_matches_library(self, tmp_path, preset):

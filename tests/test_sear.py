@@ -119,16 +119,15 @@ class TestEstimateNoiseStrength:
             n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=4
         )
         approx = generate_approx_unitaries(A, cfg)
-        from userkit.channels import density_from_pure, twirl_discrete
+        from userkit.channels import twirl_discrete
 
         twirl_set = haar_twirl_set(4, 500, 8)
         mean_eps, per_k = estimate_noise_strength(approx, twirl_set, psi, O)
         unitaries = [U for U, _, _ in approx]
-        probe = density_from_pure(psi)
         for k, eps_k in enumerate(per_k):
             ch = complementary_error_channel(unitaries, k)
             an = twirl_analytic(ch)
-            est = twirl_discrete(ch, twirl_set, probe, O)
+            est = twirl_discrete(ch, twirl_set, psi, O)
             assert eps_k == pytest.approx(est.epsilon, abs=1e-12)
             # small eps is dominated by the O(1/sqrt(n_t)) twirl fluctuation
             assert abs(eps_k - an.epsilon) <= 3.0 * est.stderr + 1e-10
