@@ -1,0 +1,46 @@
+"""Micro-benchmarks of the two hot kernels, on the inputs a real run gives them.
+
+    python -m pytest bench --benchmark-only
+
+`sample_integer_powers` runs on the grid of the last ensemble member
+(lambda = 0.1, the longest grid) of the `noisy-16` preset at d=16 and of the
+same config at n_sites=128; `twirl_discrete` runs on the first complementary
+defect channel of `noisy-16` over its 128-member Haar twirl set.  `bench/`
+is outside the test suite's `testpaths`, so a plain `pytest` run skips it.
+"""
+
+import pytest
+
+from userkit.channels import complementary_error_channel, twirl_discrete
+from userkit.config import Experiment, preset_config, resolve_config
+from userkit.matrix_core import eig_hermitian
+from userkit.sear import generate_approx_unitaries
+from userkit.user_recon import ReconstructionPlan, min_eigenvalue_gap, sample_integer_powers
+
+
+def noisy_experiment(n_sites):
+    raw = dict(preset_config("noisy-16").raw, n_sites=n_sites)
+    exp = Experiment.from_config(resolve_config(raw))
+    return exp, generate_approx_unitaries(exp.target_A, exp.sear)
+
+
+@pytest.fixture(scope="module", params=[16, 128], ids=["d16", "d128"])
+def sampling_inputs(request):
+    exp, approx = noisy_experiment(request.param)
+    _, U_sd, plan = approx[-1]
+    gap = min_eigenvalue_gap(eig_hermitian(exp.target_A))
+    n_l = ReconstructionPlan.from_gap(gap, plan.lam, exp.sear.safety).n_l
+    return exp.psi, exp.O, U_sd, n_l
+
+
+def test_sample_integer_powers(benchmark, sampling_inputs):
+    psi, O, U_sd, n_l = sampling_inputs
+    samples = benchmark(sample_integer_powers, psi, O, U_sd, n_l)
+    assert samples.shape == (2 * n_l + 1,)
+
+
+def test_twirl_discrete_d16(benchmark):
+    exp, approx = noisy_experiment(16)
+    ch = complementary_error_channel([U_k for U_k, _, _ in approx], 0)
+    est = benchmark(twirl_discrete, ch, exp.twirl_set, exp.psi, exp.O)
+    assert est.epsilon >= 0.0

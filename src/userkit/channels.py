@@ -193,6 +193,20 @@ def twirl_haar_mc(
     return replace(twirl_discrete(ch, draws, probe, O), method=TwirlMethod.haar_mc)
 
 
+class _UnitaryMembers(tuple):
+    """Twirl-set members as matrices, each already checked unitary."""
+
+
+def _unitary_members(twirl_set, tol: Tolerances) -> _UnitaryMembers:
+    """Convert and check each member once; a set already checked passes through."""
+    if isinstance(twirl_set, _UnitaryMembers):
+        return twirl_set
+    members = _UnitaryMembers(as_matrix(W) for W in twirl_set)
+    if not all(is_unitary(W, tol) for W in members):
+        raise NotUnitary("twirl-set member is not unitary")
+    return members
+
+
 def twirl_discrete(
     ch: KrausChannel,
     twirl_set,
@@ -207,17 +221,17 @@ def twirl_discrete(
     into an eps; the mean and standard error of these are reported.  The
     output state sum_mu |chi_mu><chi_mu| is Hermitian and positive by
     construction, so only its trace and the reality of the value are checked.
+    Members are checked unitary unless the set came from _unitary_members,
+    which lets a caller twirl several channels over one set checked once.
     """
     if len(twirl_set) == 0:
         raise ValueError("twirl_set must be nonempty")
     if not ch.dim == probe.dim == O.dim:
         raise DimensionMismatch(f"dims differ: channel {ch.dim}, probe {probe.dim}, observable {O.dim}")
+    members = _unitary_members(twirl_set, tol)
     kraus = np.stack(ch.kraus)
-    values = np.empty(len(twirl_set))
-    for i, W in enumerate(twirl_set):
-        W = as_matrix(W)
-        if not is_unitary(W, tol):
-            raise NotUnitary("twirl-set member is not unitary")
+    values = np.empty(len(members))
+    for i, W in enumerate(members):
         chi = (kraus @ (W @ probe.amplitudes)) @ W.conj()  # row mu is chi_mu
         tr = float(np.vdot(chi, chi).real)
         if abs(tr - 1.0) > 1e-6:

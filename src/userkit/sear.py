@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aqs_magnus import SequencePlan, approx_discretization_unitary, design_sequence
-from .channels import complementary_error_channel, twirl_discrete
+from .channels import _unitary_members, complementary_error_channel, twirl_discrete
 from .matrix_core import DEFAULT_TOL, Tolerances, eig_hermitian, expm_hermitian_i
 from .user_recon import (
     Observable,
@@ -128,12 +128,14 @@ def estimate_noise_strength(
     O: Observable,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[float, list[float]]:
-    """Per-k discrete twirl of the complementary defect channel, then the mean."""
+    """Per-k discrete twirl of the complementary defect channel, then the mean.
+    The twirl set is checked unitary once, not once per k."""
     unitaries = [U_k for U_k, _, _ in approx_list]
+    members = _unitary_members(twirl_set, tol)
     per_k = []
     for k in range(len(unitaries)):
         ch = complementary_error_channel(unitaries, k, tol)
-        est = twirl_discrete(ch, twirl_set, psi, O, tol)
+        est = twirl_discrete(ch, members, psi, O, tol)
         per_k.append(est.epsilon)
     return float(np.mean(per_k)), per_k
 

@@ -34,6 +34,9 @@ from .matrix_core import (
     is_unitary,
 )
 
+# Vectors held at once by each power chain of sample_integer_powers.
+_SAMPLE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class SpectralUnitary:
@@ -62,7 +65,7 @@ class PureState:
         a = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", a)
         norm = float(np.sum(np.abs(a) ** 2))
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN and inf amplitudes
             raise NotNormalized(f"state norm^2 = {norm:.6e}, expected 1")
 
     @property
@@ -121,7 +124,9 @@ def spectral_decompose(U, tol: Tolerances = DEFAULT_TOL) -> SpectralUnitary:
 
     T, Q = scipy.linalg.schur(U, output="complex")
     phases = np.angle(np.diag(T))
-    phases = np.where(np.isclose(phases, -pi), pi, phases)
+    # Only exactly -pi lies outside (-pi, pi]; moving a nearby phase to +pi
+    # would change its eigenvalue beyond the reconstruction check below.
+    phases = np.where(phases == -pi, pi, phases)
     order = np.argsort(phases, kind="stable")
     su = SpectralUnitary(phases=phases[order], basis=Q[:, order])
     if float(np.max(np.abs(su.matrix() - U))) > 1e-8:
@@ -202,31 +207,49 @@ def sinc_reconstruct(samples, lam: float) -> float:
     return float(np.dot(samples, weights))
 
 
+def _chain_expectations(v0: np.ndarray, step: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = sum_j w_j |(step^k v0)_j|^2 for k = 0 .. len(out) - 1.
+
+    The chain is written into a buffer a block of _SAMPLE_BLOCK vectors at a
+    time, one matrix-vector product per vector, and each block is reduced at
+    once.
+    """
+    n = out.shape[0]
+    buf = np.empty((min(_SAMPLE_BLOCK, n), v0.shape[0]), dtype=complex)
+    rows = buf.shape[0]
+    buf[0] = v0
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        if start:
+            # Every earlier block was full, so its last row is buf[-1].
+            np.matmul(step, buf[-1], out=buf[0])
+        for i in range(1, m):
+            np.matmul(step, buf[i - 1], out=buf[i])
+        block = buf[:m]
+        out[start : start + m] = (block.real**2 + block.imag**2) @ w
+
+
 def sample_integer_powers(psi: PureState, O: Observable, U_sd: np.ndarray, n_l: int) -> np.ndarray:
     """Sample <psi| (U^dag)^k O U^k |psi> for k in [-n_l, n_l] by iterated multiplication.
 
-    Only one chain of matrix-vector products is needed: U^k psi forward,
-    (U^dag)^k psi backward.
+    The chains U^k psi (forward) and (U^dag)^k psi (backward) run in the
+    eigenbasis E of O, where U' = E^dag U E and <v|O|v> = sum_j w_j |v_j|^2,
+    so each sample costs one matrix-vector product and no product with O.
+    The eigenbasis is read from O.eig, which Observable.from_matrix computes.
+    Each chain goes through a buffer of at most _SAMPLE_BLOCK vectors, so
+    memory stays O(_SAMPLE_BLOCK * d) however long the grid.
     """
     U_sd = as_matrix(U_sd)
     d = U_sd.shape[0]
     if psi.dim != d or O.dim != d:
         raise DimensionMismatch("state/observable/unitary dimensions differ")
-    Om = O.matrix
+    E, w = O.eig.vectors, O.eig.values
+    Ed = E.conj().T
+    U_rot = Ed @ U_sd @ E
+    v0 = Ed @ psi.amplitudes
     out = np.empty(2 * n_l + 1)
-
-    def ev(v: np.ndarray) -> float:
-        return float(np.real(v.conj() @ (Om @ v)))
-
-    v_fwd = psi.amplitudes.copy()
-    v_bwd = psi.amplitudes.copy()
-    out[n_l] = ev(v_fwd)
-    Ud = U_sd.conj().T
-    for k in range(1, n_l + 1):
-        v_fwd = U_sd @ v_fwd
-        v_bwd = Ud @ v_bwd
-        out[n_l + k] = ev(v_fwd)
-        out[n_l - k] = ev(v_bwd)
+    _chain_expectations(v0, U_rot, w, out[n_l:])
+    _chain_expectations(v0, U_rot.conj().T, w, out[n_l::-1])
     return out
 
 

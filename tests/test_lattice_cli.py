@@ -282,6 +282,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "phase_separation" in out and "aliasing_rate" in out
 
+    def test_decompose_phase_near_minus_pi(self, tmp_path, capsys):
+        path = str(tmp_path / "u.txt")
+        write_matrix_file(path, np.diag([np.exp(1j * (-np.pi + 2e-5)), np.exp(0.3j)]))
+        assert main(["decompose", path]) == 0
+        assert "phase_separation" in capsys.readouterr().out
+
     def test_twirl_emits_epsilon_json(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"

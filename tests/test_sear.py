@@ -111,6 +111,16 @@ class TestEstimateNoiseStrength:
         mean_eps, per_k = estimate_noise_strength(dup, haar_twirl_set(4, 20, 1), psi, O)
         assert abs(mean_eps) < 1e-10
 
+    def test_non_unitary_twirl_member_raises(self, rng):
+        from userkit.errors import NotUnitary
+
+        A, psi, O = make_problem(rng)
+        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=4)
+        approx = generate_approx_unitaries(A, cfg)
+        twirl_set = haar_twirl_set(4, 5, 1) + [1.1 * np.eye(4)]
+        with pytest.raises(NotUnitary):
+            estimate_noise_strength(approx, twirl_set, psi, O)
+
     def test_matches_analytic_twirl(self, rng):
         from userkit.channels import complementary_error_channel, twirl_analytic
 

@@ -7,7 +7,9 @@ from userkit.errors import (
     AllDegenerate,
     BadLength,
     DegenerateSpectrum,
+    DimensionMismatch,
     InvalidLambda,
+    NotNormalized,
     NotUnitary,
 )
 from userkit.matrix_core import HermitianEig, eig_hermitian, expm_hermitian_i
@@ -23,6 +25,7 @@ from userkit.user_recon import (
     multiplicative_expectation,
     phase_separation,
     required_n_l,
+    sample_integer_powers,
     sinc_reconstruct,
     spectral_decompose,
     unitary_power,
@@ -61,6 +64,28 @@ class TestSpectralDecompose:
         U = mc_haar_unitary(6, 42)
         su = spectral_decompose(U)
         assert np.max(np.abs(su.matrix() - U)) < 1e-8
+
+    @pytest.mark.parametrize("offset", [2e-5, 1e-7])
+    def test_phase_near_minus_pi_kept(self, offset):
+        U = np.diag([np.exp(1j * (-np.pi + offset)), np.exp(0.3j)])
+        su = spectral_decompose(U)
+        assert su.phases[0] == pytest.approx(-np.pi + offset, abs=1e-12)
+        assert np.max(np.abs(su.matrix() - U)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "U", [np.diag([-1.0, 1.0]), np.diag([np.exp(-1j * np.pi), 1.0])], ids=["minus_one", "exp_minus_i_pi"]
+    )
+    def test_minus_one_reports_plus_pi(self, U):
+        su = spectral_decompose(U)
+        assert su.phases[-1] == np.pi
+        assert np.max(np.abs(su.matrix() - U)) < 1e-8
+
+
+class TestPureState:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_raises(self, bad):
+        with pytest.raises(NotNormalized):
+            PureState(np.array([bad, 0.0]))
 
 
 class TestPhaseSeparation:
@@ -264,3 +289,69 @@ class TestUserReconstruct:
         plan = ReconstructionPlan.from_gap(min_eigenvalue_gap(eig_hermitian(A)), lam, 10.0)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         assert abs(user_reconstruct(psi, O, U_sd, plan) - exact) <= 1e-2
+
+
+def chain_reference(psi, O, U, n_l):
+    """The per-sample power chain: <v|O v> with a product with O at every power."""
+    out = np.empty(2 * n_l + 1)
+    v_fwd = psi.amplitudes.copy()
+    v_bwd = psi.amplitudes.copy()
+    out[n_l] = np.real(v_fwd.conj() @ (O.matrix @ v_fwd))
+    for k in range(1, n_l + 1):
+        v_fwd = U @ v_fwd
+        v_bwd = U.conj().T @ v_bwd
+        out[n_l + k] = np.real(v_fwd.conj() @ (O.matrix @ v_fwd))
+        out[n_l - k] = np.real(v_bwd.conj() @ (O.matrix @ v_bwd))
+    return out
+
+
+def spectral_reference(psi, O, U, n_l):
+    su = spectral_decompose(U)
+    return np.array([multiplicative_expectation(psi, O, su, k) for k in range(-n_l, n_l + 1)])
+
+
+def assert_samples_match_references(psi, O, U, n_l):
+    samples = sample_integer_powers(psi, O, U, n_l)
+    assert samples.shape == (2 * n_l + 1,)
+    tol = 1e-12 * max(O.spread(), 1.0)
+    assert np.max(np.abs(samples - chain_reference(psi, O, U, n_l))) <= tol
+    assert np.max(np.abs(samples - spectral_reference(psi, O, U, n_l))) <= tol
+
+
+def observable_of_kind(rng, d, kind):
+    if kind == "random":
+        return Observable.from_matrix(random_hermitian(rng, d))
+    if kind == "projector":  # rank 1: eigenvalue 0 is (d - 1)-fold degenerate
+        v = random_state(rng, d)
+        return Observable.from_matrix(np.outer(v, v.conj()))
+    return Observable.from_matrix(2.5 * np.eye(d))
+
+
+class TestSampleIntegerPowers:
+    # n_l + 1 samples per chain: 2, 256 (one full block), 257 and 258 (one
+    # row past a block), 601 (two full blocks and a partial one).
+    @pytest.mark.parametrize("n_l", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("kind", ["random", "projector", "identity"])
+    def test_matches_chain_and_spectral(self, rng, kind, n_l):
+        d = 16
+        psi = PureState(random_state(rng, d))
+        O = observable_of_kind(rng, d, kind)
+        U = expm_hermitian_i(random_hermitian(rng, d), 0.2)
+        assert_samples_match_references(psi, O, U, n_l)
+
+    def test_dimension_mismatch(self, rng):
+        U = expm_hermitian_i(random_hermitian(rng, 3), 0.3)
+        O3 = Observable.from_matrix(random_hermitian(rng, 3))
+        with pytest.raises(DimensionMismatch):
+            sample_integer_powers(PureState(random_state(rng, 2)), O3, U, 4)
+        with pytest.raises(DimensionMismatch):
+            sample_integer_powers(PureState(random_state(rng, 3)), Observable.from_matrix(np.eye(2)), U, 4)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(1, 6), n_l=st.integers(1, 600), seed=st.integers(0, 10**6))
+    def test_property_matches_references(self, d, n_l, seed):
+        rng = np.random.default_rng(seed)
+        psi = PureState(random_state(rng, d))
+        O = Observable.from_matrix(random_hermitian(rng, d))
+        U = expm_hermitian_i(random_hermitian(rng, d), 0.5)
+        assert_samples_match_references(psi, O, U, n_l)
