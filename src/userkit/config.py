@@ -53,6 +53,8 @@ KNOWN_KEYS = {
 EMIT_KINDS = {"samples_csv", "reconstruction_csv", "epsilon_json", "result_json"}
 
 INT_KEYS = ("seed", "n_sites", "n_a", "n_t", "kappa", "n_s")
+# The dense substrate's size limit (see `matrix_core`): every model matrix is n_sites x n_sites.
+MAX_N_SITES = 256
 REAL_KEYS = ("mass", "spacing", "drive_omega", "slope", "evolution_time", "perturbation", "safety")
 
 DEFAULTS = {
@@ -158,6 +160,8 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"{key} must be a finite number, got {raw[key]!r}")
     if raw["n_t"] < 1:
         raise ConfigError(f"n_t must be positive, got {raw['n_t']}")
+    if raw["n_sites"] > MAX_N_SITES:
+        raise ConfigError(f"n_sites must be at most {MAX_N_SITES}, got {raw['n_sites']}")
     cfg = ExperimentConfig(raw=raw)
     try:  # their own range checks, reported as config errors
         cfg.lattice, cfg.sear

@@ -3,7 +3,9 @@
 Hermitian eigendecomposition, eigendecomposition-based matrix exponentials,
 and the validation predicates the rest of the package relies on.  Dimensions
 here are small (d <= 256), so everything is dense and exact-by-eigh; there
-are no Pade or Krylov code paths.
+are no Pade or Krylov code paths.  `eig_hermitian` and `expm_hermitian_i`
+take one (d, d) matrix or an (n, d, d) stack, and treat each slice of a stack
+exactly as they treat a single matrix.
 """
 
 from __future__ import annotations
@@ -33,27 +35,33 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix (or a stack of them), eigenvalues
+    ascending; `vectors[..., :, j]` belongs to `values[..., j]`."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
-def as_matrix(m) -> np.ndarray:
+def _as_square(m, ndims: tuple[int, ...]) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
+def as_matrix(m) -> np.ndarray:
+    return _as_square(m, (2,))
+
+
 def hermiticity_defect(H: np.ndarray) -> float:
-    return float(np.max(np.abs(H - H.conj().T)))
+    """Largest entry of |H - H^dag|; over every slice of a stack."""
+    return float(np.max(np.abs(H - H.swapaxes(-1, -2).conj())))
 
 
 def is_unitary(U: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -63,30 +71,32 @@ def is_unitary(U: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _fix_phases(V: np.ndarray, tol: float) -> np.ndarray:
-    """Rotate each column so its first component above `tol` is real positive."""
-    V = V.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        idx = np.argmax(np.abs(col) > tol)
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            V[:, j] = col * (np.abs(pivot) / pivot)
-    return V
+    """Rotate each column so its first component above `tol` is real positive.
+
+    A column with no component above `tol` is rotated by its first component;
+    a column whose pivot is zero is left as it is."""
+    idx = np.argmax(np.abs(V) > tol, axis=-2)
+    pivot = np.take_along_axis(V, idx[..., None, :], axis=-2)
+    mag = np.abs(pivot)
+    factor = np.divide(mag, pivot, out=np.ones_like(pivot), where=mag > 0)
+    return V * factor
 
 
 def eig_hermitian(H: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix with deterministic eigenvector phases."""
-    H = as_matrix(H)
+    """Eigendecompose a Hermitian matrix, or an (n, d, d) stack of them, with
+    deterministic eigenvector phases."""
+    H = _as_square(H, (2, 3))
     defect = hermiticity_defect(H)
     if defect > tol.tol_eig:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} > {tol.tol_eig:.3e}")
-    w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
+    w, V = np.linalg.eigh(0.5 * (H + H.swapaxes(-1, -2).conj()))
     V = _fix_phases(V, tol.tol_eig)
     return HermitianEig(values=w, vectors=V)
 
 
 def expm_hermitian_i(H: np.ndarray, scale: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """e^{i * scale * H} for Hermitian H, via eigendecomposition."""
+    """e^{i * scale * H} for Hermitian H (or each slice of a stack), via
+    eigendecomposition."""
     eig = eig_hermitian(H, tol)
     phases = np.exp(1j * scale * eig.values)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    return (eig.vectors * phases[..., None, :]) @ eig.vectors.swapaxes(-1, -2).conj()

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from userkit.aqs_magnus import (
+    _EVOLVE_BLOCK_ENTRIES,
     EvolutionSpec,
     HamiltonianFamily,
     approx_discretization_unitary,
@@ -13,7 +14,7 @@ from userkit.aqs_magnus import (
     magnus_truncated,
     time_ordered_evolve,
 )
-from userkit.errors import SpectrumOutOfRange, UnsupportedOrder
+from userkit.errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
 from userkit.lattice import LatticeSpec, build_lattice_family
 from userkit.matrix_core import expm_hermitian_i, is_unitary
 from conftest import random_hermitian, random_target_A
@@ -62,6 +63,36 @@ class TestTimeOrderedEvolve:
             time_ordered_evolve(fam, EvolutionSpec(gamma=3.0, t_final=1.0, n_steps=128)) - ref, 2
         )
         assert 2.5 < e1 / e2 < 5.5  # second-order integrator: ratio ~ 4
+
+    @pytest.mark.parametrize(
+        "d, n_steps", [(2, 16), (2, 40), (16, 40), (16, 128), (24, 16), (24, 21), (24, 22), (96, 16)]
+    )
+    def test_equals_per_slice_product(self, d, n_steps):
+        # at d=24 a block holds 7 slices: 16, 21 and 22 steps end inside a
+        # block, on its boundary and one slice past it; at d=96 it holds one
+        assert _EVOLVE_BLOCK_ENTRIES // 24**2 == 7 and _EVOLVE_BLOCK_ENTRIES // 96**2 == 0
+        fam = linear_drive_family() if d == 2 else build_lattice_family(LatticeSpec(n_sites=d, drive_omega=8.0))
+        spec = EvolutionSpec(gamma=6.5, t_final=0.7, n_steps=n_steps)
+        dt = spec.t_final / n_steps
+        ref = np.eye(d, dtype=complex)
+        for j in range(n_steps):
+            ref = expm_hermitian_i(fam.at(spec.gamma, (j + 0.5) * dt), -dt) @ ref
+        assert np.array_equal(time_ordered_evolve(fam, spec), ref)
+
+    def test_non_hermitian_generator_rejected(self):
+        fam = HamiltonianFamily(dim=2, generator=lambda g, t: X + 1j * t * Z)
+        with pytest.raises(NotHermitian):
+            time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=1.0, n_steps=16))
+
+    def test_nan_generator_rejected(self):
+        fam = HamiltonianFamily(dim=2, generator=lambda g, t: X + (np.nan if t > 0.5 else 0.0) * Z)
+        with pytest.raises(ValueError, match="finite"):
+            time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=1.0, n_steps=16))
+
+    def test_wrong_shape_generator_rejected(self):
+        fam = HamiltonianFamily(dim=2, generator=lambda g, t: np.ones((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=1.0, n_steps=16))
 
 
 class TestOmega1:
@@ -200,3 +231,9 @@ class TestDriveFit:
             plan.residual, rel=1e-6
         )
         assert is_unitary(approx_discretization_unitary(plan))
+
+
+def test_random_target_A_gives_up(rng):
+    # 16 gaps >= 0.1 in [-1, 1] happen with probability ~2e-10: raise, do not hang
+    with pytest.raises(ValueError, match="d=16 and min_gap=0.1"):
+        random_target_A(rng, 16)

@@ -120,6 +120,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset_config("nope")
 
+    def test_n_sites_limit(self):
+        assert resolve_config({"n_sites": 256}).raw["n_sites"] == 256
+        with pytest.raises(ConfigError, match="n_sites must be at most 256"):
+            resolve_config({"n_sites": 257})
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
@@ -218,6 +223,7 @@ class TestCli:
             ({"observable": "file:obs8.mat", "n_sites": 16}, "observable"),
             ({"probe_state": "gaussian:0:0"}, "probe_state"),
             ({"slope": 1e308}, "lattice"),
+            ({"n_sites": 100000}, "n_sites"),
         ],
         ids=[
             "unknown_key",
@@ -236,6 +242,7 @@ class TestCli:
             "observable_dim_mismatch",
             "probe_gaussian_zero_width",
             "model_overflow",
+            "n_sites_too_large",
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values

@@ -5,6 +5,8 @@ import scipy.linalg
 from userkit.errors import NotHermitian
 from userkit.matrix_core import (
     Tolerances,
+    _fix_phases,
+    as_matrix,
     eig_hermitian,
     expm_hermitian_i,
     is_unitary,
@@ -71,3 +73,89 @@ def test_is_unitary_qr_gaussian(rng):
 def test_tolerances_positive():
     with pytest.raises(ValueError):
         Tolerances(tol_eig=0.0)
+
+
+def fix_phases_loop(V, tol):
+    """Reference: the column-by-column phase fix of one matrix."""
+    V = V.copy()
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        idx = np.argmax(np.abs(col) > tol)
+        pivot = col[idx]
+        if np.abs(pivot) > 0:
+            V[:, j] = col * (np.abs(pivot) / pivot)
+    return V
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_matches_loop(self, rng, d):
+        tol = 1e-10
+        for _ in range(20):
+            V = random_complex(rng, d, d)
+            assert np.array_equal(_fix_phases(V, tol), fix_phases_loop(V, tol))
+
+    def test_zero_column_and_sub_tol_leading_entries(self, rng):
+        tol = 1e-10
+        V = random_complex(rng, 5, 5)
+        V[:, 1] = 0.0  # no pivot at all: left as it is
+        V[:2, 2] = 1e-12 * (1 + 1j)  # pivot is the third entry
+        V[:, 3] = 1e-12 * random_complex(rng, 5)  # nothing above tol: the first entry is the pivot
+        V[0, 4] = 0.0
+        out = _fix_phases(V, tol)
+        assert np.array_equal(out, fix_phases_loop(V, tol))
+        assert np.array_equal(out[:, 1], np.zeros(5))
+        assert abs(out[2, 2].imag) < 1e-15 and out[2, 2].real > 0
+
+    def test_stack_matches_loop_per_slice(self, rng):
+        tol = 1e-10
+        V = random_complex(rng, 6, 4, 4)
+        V[2, :, 0] = 0.0
+        V[4, 0, :] = 1e-13
+        out = _fix_phases(V, tol)
+        assert out.shape == V.shape
+        for k in range(V.shape[0]):
+            assert np.array_equal(out[k], fix_phases_loop(V[k], tol))
+
+
+class TestStacks:
+    def test_eig_stack_equals_per_slice(self, rng):
+        H = np.stack([random_hermitian(rng, 16) for _ in range(5)])
+        eig = eig_hermitian(H)
+        assert eig.dim == 16 and eig.values.shape == (5, 16) and eig.vectors.shape == (5, 16, 16)
+        for k in range(5):
+            one = eig_hermitian(H[k])
+            assert np.array_equal(eig.values[k], one.values)
+            assert np.array_equal(eig.vectors[k], one.vectors)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_expm_stack_equals_per_slice(self, rng, d):
+        H = np.stack([random_hermitian(rng, d) for _ in range(7)])
+        U = expm_hermitian_i(H, -0.3)
+        for k in range(7):
+            assert np.array_equal(U[k], expm_hermitian_i(H[k], -0.3))
+
+    def test_one_non_hermitian_slice_rejected(self, rng):
+        H = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        H[2, 0, 1] += 1e-9
+        with pytest.raises(NotHermitian):
+            expm_hermitian_i(H, 1.0)
+
+    def test_one_non_finite_slice_rejected(self, rng):
+        H = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        H[3, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            eig_hermitian(H)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (2, 2, 2, 2), (3,)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            eig_hermitian(np.zeros(shape))
+
+    def test_as_matrix_rejects_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            as_matrix(np.zeros((2, 3, 3)))
