@@ -16,14 +16,13 @@ from userkit.matrix_core import expm_hermitian_i
 
 
 def slopes(n_sites, omega, ts, n_steps):
-    lat = LatticeSpec(n_sites=n_sites, drive_omega=omega)
-    fam = build_lattice_family(lat)
+    fam = build_lattice_family(LatticeSpec(n_sites=n_sites))
     out = []
     for kappa in (1, 2):
         errs = []
         for t in ts:
             U_ref = time_ordered_evolve(fam, EvolutionSpec(gamma=omega, t_final=t, n_steps=n_steps))
-            M = magnus_truncated(fam, omega, t, kappa, n_steps=n_steps).matrix
+            M = magnus_truncated(fam, omega, t, kappa, n_steps=n_steps)
             errs.append(np.linalg.norm(expm_hermitian_i(M, 1.0) - U_ref, 2))
         out.append((float(np.polyfit(np.log(ts), np.log(errs), 1)[0]), errs))
     return out

@@ -37,7 +37,7 @@ def main():
     v = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
     psi = PureState(v / np.linalg.norm(v))
     G = rng.standard_normal((args.dim, args.dim)) + 1j * rng.standard_normal((args.dim, args.dim))
-    O = Observable.from_matrix(0.5 * (G + G.conj().T))
+    O = Observable(0.5 * (G + G.conj().T))
 
     gap = min_eigenvalue_gap(eig_hermitian(A))
     plan = ReconstructionPlan.from_gap(gap, args.lam, args.safety)

@@ -10,8 +10,9 @@ Two pipelines:
 """
 
 from .matrix_core import (
+    TOL_EIG,
+    TOL_UNITARY,
     HermitianEig,
-    Tolerances,
     eig_hermitian,
     expm_hermitian_i,
     is_unitary,
@@ -35,7 +36,6 @@ from .user_recon import (
 from .aqs_magnus import (
     EvolutionSpec,
     HamiltonianFamily,
-    MagnusOperator,
     SequencePlan,
     approx_discretization_unitary,
     design_sequence,

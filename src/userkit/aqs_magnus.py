@@ -15,14 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
-from .matrix_core import (
-    DEFAULT_TOL,
-    Tolerances,
-    as_matrix,
-    eig_hermitian,
-    expm_hermitian_i,
-    hermiticity_defect,
-)
+from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, expm_hermitian_i, hermiticity_defect
 
 
 @dataclass(frozen=True)
@@ -31,12 +24,11 @@ class HamiltonianFamily:
 
     dim: int
     generator: Callable[[float, float], np.ndarray]
-    label: str = ""
 
-    def at(self, gamma: float, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    def at(self, gamma: float, t: float) -> np.ndarray:
         H = as_matrix(self.generator(gamma, t))
         defect = hermiticity_defect(H)
-        if defect > 1e-8:
+        if defect > TOL_EIG:
             raise NotHermitian(f"generator({gamma}, {t}) Hermiticity defect {defect:.3e}")
         return H
 
@@ -55,12 +47,6 @@ class EvolutionSpec:
 
 
 @dataclass(frozen=True)
-class MagnusOperator:
-    order: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class SequencePlan:
     """A sequence of simulable members whose truncated Magnus operators sum to
     (approximately) pi * lam * A; `residual` is the honest operator-norm defect."""
@@ -68,7 +54,6 @@ class SequencePlan:
     magnus_terms: tuple
     target_A: np.ndarray
     lam: float
-    kappa: int
     residual: float
     specs: Optional[tuple] = None  # EvolutionSpec per member in drive-fit mode
 
@@ -127,20 +112,20 @@ def magnus_omega2(fam: HamiltonianFamily, gamma: float, t: float, n_steps: int =
 
 def magnus_truncated(
     fam: HamiltonianFamily, gamma: float, t: float, kappa: int, n_steps: int = 512
-) -> MagnusOperator:
+) -> np.ndarray:
     """Sum of the first kappa Magnus terms; only kappa in {1, 2} is available."""
     if kappa not in (1, 2):
         raise UnsupportedOrder(f"kappa must be 1 or 2, got {kappa}")
     M = magnus_omega1(fam, gamma, t, n_steps)
     if kappa == 2:
         M = M + magnus_omega2(fam, gamma, t, n_steps)
-    return MagnusOperator(order=kappa, matrix=M)
+    return M
 
 
-def _check_target(target_A: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _check_target(target_A: np.ndarray) -> np.ndarray:
     target_A = as_matrix(target_A)
-    w = eig_hermitian(target_A, tol).values
-    if float(np.max(np.abs(w))) > 1.0 + tol.tol_eig:
+    w = eig_hermitian(target_A).values
+    if float(np.max(np.abs(w))) > 1.0 + TOL_EIG:
         raise SpectrumOutOfRange(f"target spectrum radius {np.max(np.abs(w)):.6f} > 1")
     return target_A
 
@@ -148,11 +133,9 @@ def _check_target(target_A: np.ndarray, tol: Tolerances) -> np.ndarray:
 def design_sequence(
     target_A: np.ndarray,
     lam: float,
-    kappa: int,
     perturbation: float,
     seed: int,
     n_s: int = 4,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> SequencePlan:
     """Synthetic-mode designer: members realize M_xi = pi*lam*A/n_s + delta_xi
     with delta_xi a seeded random Hermitian of operator norm <= perturbation.
@@ -161,7 +144,7 @@ def design_sequence(
     sum to the target) is open; this mode exercises every downstream formula
     with a controllable, honestly recorded defect.
     """
-    target_A = _check_target(target_A, tol)
+    target_A = _check_target(target_A)
     d = target_A.shape[0]
     rng = np.random.default_rng(seed)
     base = (pi * lam / n_s) * target_A
@@ -177,13 +160,7 @@ def design_sequence(
         terms.append(base + G)
         defect_sum = defect_sum + G
     residual = float(np.linalg.norm(defect_sum, 2))
-    return SequencePlan(
-        magnus_terms=tuple(terms),
-        target_A=target_A,
-        lam=lam,
-        kappa=kappa,
-        residual=residual,
-    )
+    return SequencePlan(magnus_terms=tuple(terms), target_A=target_A, lam=lam, residual=residual)
 
 
 def design_sequence_drive_fit(
@@ -195,14 +172,13 @@ def design_sequence_drive_fit(
     seed: int = 0,
     n_steps: int = 128,
     max_iter: int = 200,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> SequencePlan:
     """Drive-fit designer: least-squares fit of (omega, t) per member so that the
     truncated Magnus operators sum close to pi*lam*A.  Best-effort only; the
     residual is reported, no optimality is claimed."""
     from scipy.optimize import minimize
 
-    target_A = _check_target(target_A, tol)
+    target_A = _check_target(target_A)
     target = pi * lam * target_A
     rng = np.random.default_rng(seed)
     x0 = np.concatenate(
@@ -212,7 +188,7 @@ def design_sequence_drive_fit(
     def terms_for(x: np.ndarray) -> list[np.ndarray]:
         omegas, times = x[:n_s], np.abs(x[n_s:]) + 1e-6
         return [
-            magnus_truncated(fam, float(w), float(t), kappa, n_steps).matrix
+            magnus_truncated(fam, float(w), float(t), kappa, n_steps)
             for w, t in zip(omegas, times)
         ]
 
@@ -231,7 +207,6 @@ def design_sequence_drive_fit(
         magnus_terms=tuple(terms),
         target_A=target_A,
         lam=lam,
-        kappa=kappa,
         residual=residual,
         specs=specs,
     )

@@ -9,8 +9,7 @@ expectation values exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     TraceViolation,
     UnphysicalEpsilon,
 )
-from .matrix_core import DEFAULT_TOL, Tolerances, as_matrix, is_unitary
+from .matrix_core import as_matrix, is_unitary
 from .user_recon import Observable, PureState
 
 
@@ -70,17 +69,10 @@ class KrausChannel:
         return self.kraus[0].shape[0]
 
 
-class TwirlMethod(str, Enum):
-    analytic = "analytic"
-    haar_mc = "haar_mc"
-    discrete_sim = "discrete_sim"
-
-
 @dataclass(frozen=True)
 class DepolarizingEstimate:
     epsilon: float
     stderr: float
-    method: TwirlMethod
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:
@@ -107,33 +99,33 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _mixed_unitary_channel(unitaries, tol: Tolerances) -> KrausChannel:
+def _mixed_unitary_channel(unitaries) -> KrausChannel:
     n = len(unitaries)
     for U in unitaries:
-        if not is_unitary(U, tol):
+        if not is_unitary(U):
             raise NotUnitary("ensemble member is not unitary")
     w = 1.0 / np.sqrt(n)
     return KrausChannel(tuple(w * as_matrix(U) for U in unitaries))
 
 
-def sear_error_channel(U_i, approx_list, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+def sear_error_channel(U_i, approx_list) -> KrausChannel:
     """Mixed-unitary channel with Kraus (1/sqrt(n_a)) U_a^(mu) U_i^dag.
 
     Applying it to U_i rho U_i^dag and taking Tr[. O] reproduces the arithmetic
     mean of the n_a approximate expectation values exactly.
     """
     U_i = as_matrix(U_i)
-    if not is_unitary(U_i, tol):
+    if not is_unitary(U_i):
         raise NotUnitary("reference unitary is not unitary")
     Uid = U_i.conj().T
-    return _mixed_unitary_channel([as_matrix(U) @ Uid for U in approx_list], tol)
+    return _mixed_unitary_channel([as_matrix(U) @ Uid for U in approx_list])
 
 
-def complementary_error_channel(approx_list, k: int, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+def complementary_error_channel(approx_list, k: int) -> KrausChannel:
     """Defect channel measured against the k-th ensemble member instead of U_i."""
     if not 0 <= k < len(approx_list):
         raise IndexOutOfRange(f"k={k} outside [0, {len(approx_list)})")
-    return sear_error_channel(approx_list[k], approx_list, tol)
+    return sear_error_channel(approx_list[k], approx_list)
 
 
 def _epsilon_range(dim: int) -> float:
@@ -149,7 +141,7 @@ def twirl_analytic(ch: KrausChannel) -> DepolarizingEstimate:
     d = ch.dim
     F_e = sum(abs(complex(np.trace(K))) ** 2 for K in ch.kraus) / (d * d)
     eps = d * d * (1.0 - F_e) / (d * d - 1.0)
-    return DepolarizingEstimate(epsilon=float(eps), stderr=0.0, method=TwirlMethod.analytic)
+    return DepolarizingEstimate(epsilon=float(eps), stderr=0.0)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,17 +154,23 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def noise_strength_from_expectation(
     comp_value: float | np.ndarray,
-    rho: DensityMatrix,
+    psi: PureState,
     O: Observable,
     denom_floor: float = 1e-8,
 ) -> float | np.ndarray:
-    """eps = (comp_value - Tr[rho O]) / (Tr[O]/d - Tr[rho O]), elementwise for an array."""
-    t1 = expectation(rho, O)
+    """eps = (comp_value - <psi|O|psi>) / (Tr[O]/d - <psi|O|psi>), elementwise for an array."""
+    if psi.dim != O.dim:
+        raise DimensionMismatch(f"dims differ: probe {psi.dim}, observable {O.dim}")
+    a = psi.amplitudes
+    val = complex(np.vdot(a, O.matrix @ a))
+    if abs(val.imag) >= 1e-10:
+        raise NotHermitian(f"<psi|O|psi> has imaginary residue {val.imag:.3e}; observable is not Hermitian")
+    t1 = val.real
     td = float(np.real(np.trace(O.matrix))) / O.dim
     denom = td - t1
     if abs(denom) < denom_floor:
         raise DegenerateDenominator(
-            f"|Tr[O]/d - Tr[rho O]| = {abs(denom):.3e} < {denom_floor:.1e}; "
+            f"|Tr[O]/d - <psi|O|psi>| = {abs(denom):.3e} < {denom_floor:.1e}; "
             "probe cannot resolve the noise strength"
         )
     return (comp_value - t1) / denom
@@ -190,19 +188,19 @@ def twirl_haar_mc(
         raise ValueError("n_samples must be >= 100")
     rng = np.random.default_rng(seed)
     draws = [haar_unitary(ch.dim, rng) for _ in range(n_samples)]
-    return replace(twirl_discrete(ch, draws, probe, O), method=TwirlMethod.haar_mc)
+    return twirl_discrete(ch, draws, probe, O)
 
 
 class _UnitaryMembers(tuple):
     """Twirl-set members as matrices, each already checked unitary."""
 
 
-def _unitary_members(twirl_set, tol: Tolerances) -> _UnitaryMembers:
+def _unitary_members(twirl_set) -> _UnitaryMembers:
     """Convert and check each member once; a set already checked passes through."""
     if isinstance(twirl_set, _UnitaryMembers):
         return twirl_set
     members = _UnitaryMembers(as_matrix(W) for W in twirl_set)
-    if not all(is_unitary(W, tol) for W in members):
+    if not all(is_unitary(W) for W in members):
         raise NotUnitary("twirl-set member is not unitary")
     return members
 
@@ -212,7 +210,6 @@ def twirl_discrete(
     twirl_set,
     probe: PureState,
     O: Observable,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> DepolarizingEstimate:
     """Discrete twirl over an explicit unitary set, on the pure probe psi.
 
@@ -228,7 +225,7 @@ def twirl_discrete(
         raise ValueError("twirl_set must be nonempty")
     if not ch.dim == probe.dim == O.dim:
         raise DimensionMismatch(f"dims differ: channel {ch.dim}, probe {probe.dim}, observable {O.dim}")
-    members = _unitary_members(twirl_set, tol)
+    members = _unitary_members(twirl_set)
     kraus = np.stack(ch.kraus)
     values = np.empty(len(members))
     for i, W in enumerate(members):
@@ -240,9 +237,9 @@ def twirl_discrete(
         if abs(val.imag) >= 1e-10:
             raise NotHermitian(f"Tr[rho O] has imaginary residue {val.imag:.3e}; observable is not Hermitian")
         values[i] = val.real
-    eps = noise_strength_from_expectation(values, density_from_pure(probe), O)
+    eps = noise_strength_from_expectation(values, probe, O)
     stderr = float(np.std(eps, ddof=1) / np.sqrt(eps.size)) if eps.size > 1 else 0.0
-    return DepolarizingEstimate(epsilon=float(np.mean(eps)), stderr=stderr, method=TwirlMethod.discrete_sim)
+    return DepolarizingEstimate(epsilon=float(np.mean(eps)), stderr=stderr)
 
 
 def depolarize(rho: DensityMatrix, epsilon: float) -> DensityMatrix:

@@ -27,7 +27,7 @@ from .config import (
 )
 from .errors import ConfigError, UserKitError
 from .sear import estimate_noise_strength, generate_approx_unitaries, run_sear
-from .user_recon import aliasing_rate, phase_separation, spectral_decompose
+from .user_recon import aliasing_rate, phase_separation, sinc_reconstruct, spectral_decompose
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -71,12 +71,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     if "reconstruction_csv" in emit:
         rec = res.per_sample[0]
-        n_l = rec.samples.size // 2
         lines = ["eta,interpolated_value"]
-        ks = np.arange(-n_l, n_l + 1)
         for eta in np.linspace(0.0, 1.2, 121):
-            w = np.sinc((eta - ks * rec.lam) / rec.lam)
-            lines.append(f"{_fmt(eta * exp.t_eff)},{_fmt(float(np.dot(rec.samples, w)))}")
+            lines.append(f"{_fmt(eta * exp.t_eff)},{_fmt(sinc_reconstruct(rec.samples, rec.lam, eta))}")
         atomic_write_text(os.path.join(out_dir, "reconstruction.csv"), "\n".join(lines) + "\n")
 
     if "epsilon_json" in emit:

@@ -24,7 +24,7 @@ from .lattice import (
 from .sear import SearConfig
 from .user_recon import Observable, PureState
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 KNOWN_KEYS = {
     "schema",
@@ -36,9 +36,7 @@ KNOWN_KEYS = {
     "slope",
     "kinetic_mod",
     "evolution_time",
-    "n_a",
     "n_t",
-    "kappa",
     "lambdas",
     "perturbation",
     "safety",
@@ -52,7 +50,7 @@ KNOWN_KEYS = {
 
 EMIT_KINDS = {"samples_csv", "reconstruction_csv", "epsilon_json", "result_json"}
 
-INT_KEYS = ("seed", "n_sites", "n_a", "n_t", "kappa", "n_s")
+INT_KEYS = ("seed", "n_sites", "n_t", "n_s")
 # The dense substrate's size limit (see `matrix_core`): every model matrix is n_sites x n_sites.
 MAX_N_SITES = 256
 REAL_KEYS = ("mass", "spacing", "drive_omega", "slope", "evolution_time", "perturbation", "safety")
@@ -67,9 +65,7 @@ DEFAULTS = {
     "slope": 0.1,
     "kinetic_mod": [0.0, 0.0, 0.05],
     "evolution_time": 1.0,
-    "n_a": 4,
     "n_t": 64,
-    "kappa": 2,
     "lambdas": [0.25, 0.2, 0.125, 0.1],
     "perturbation": 0.0,
     "safety": 10.0,
@@ -109,7 +105,6 @@ class ExperimentConfig:
             n_sites=r["n_sites"],
             mass=r["mass"],
             spacing=r["spacing"],
-            drive_omega=r["drive_omega"],
             slope=r["slope"],
             kinetic_mod=tuple(r["kinetic_mod"]),
         )
@@ -118,8 +113,6 @@ class ExperimentConfig:
     def sear(self) -> SearConfig:
         r = self.raw
         return SearConfig(
-            n_a=r["n_a"],
-            kappa=r["kappa"],
             lambdas=tuple(r["lambdas"]),
             perturbation=r["perturbation"],
             safety=r["safety"],
@@ -135,13 +128,15 @@ class ExperimentConfig:
 
 
 def resolve_config(overrides: dict) -> ExperimentConfig:
+    # Before the key check, so a file of another schema is reported as such.
+    schema = overrides.get("schema", SCHEMA_VERSION)
+    if schema != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema version {schema} (expected {SCHEMA_VERSION})")
     for key in overrides:
         if key not in KNOWN_KEYS:
             raise ConfigError(f"unknown config key: {key!r}")
     raw = dict(DEFAULTS)
     raw.update(overrides)
-    if raw["schema"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {raw['schema']} (expected {SCHEMA_VERSION})")
     if not isinstance(raw["emit"], list) or not all(isinstance(kind, str) for kind in raw["emit"]):
         raise ConfigError(f"emit must be a list of strings, got {raw['emit']!r}")
     if not isinstance(raw["output_dir"], str):
@@ -198,7 +193,7 @@ class Experiment:
             target_A=target_A,
             t_eff=r["evolution_time"] / rescale,
             psi=PureState(probe_state_vector(r["probe_state"], lattice)),
-            O=Observable.from_matrix(O),
+            O=Observable(O),
             twirl_set=_twirl_set(r, lattice),
             sear=cfg.sear,
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aqs_magnus import HamiltonianFamily
-from .matrix_core import DEFAULT_TOL, Tolerances, as_matrix, eig_hermitian
+from .matrix_core import as_matrix, eig_hermitian
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class LatticeSpec:
     n_sites: int = 16
     mass: float = 1.0
     spacing: float = 1.0
-    drive_omega: float = 1.0
     slope: float = 0.1
     kinetic_mod: tuple = (0.0, 0.0, 0.05)  # coefficients of (sin(p a)/a)^j
 
@@ -70,7 +69,7 @@ def build_lattice_family(spec: LatticeSpec) -> HamiltonianFamily:
     def generator(gamma: float, t: float) -> np.ndarray:
         return K + np.sin(gamma * t) * V
 
-    return HamiltonianFamily(dim=spec.n_sites, generator=generator, label="driven-lattice")
+    return HamiltonianFamily(dim=spec.n_sites, generator=generator)
 
 
 def build_target_hamiltonian(spec: LatticeSpec) -> np.ndarray:
@@ -86,9 +85,7 @@ def build_target_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     return H
 
 
-def target_A_from_hamiltonian(
-    H_t: np.ndarray, evolution_time: float, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
+def target_A_from_hamiltonian(H_t: np.ndarray, evolution_time: float) -> tuple[np.ndarray, float]:
     """A = -H_t * evolution_time / pi, rescaled into spectral radius <= 1.
 
     Returns (A, rescale) where rescale >= 1 is the factor the simulated time
@@ -96,6 +93,6 @@ def target_A_from_hamiltonian(
     """
     H_t = as_matrix(H_t)
     A = -H_t * (evolution_time / np.pi)
-    w = eig_hermitian(A, tol).values
+    w = eig_hermitian(A).values
     rescale = max(1.0, float(np.max(np.abs(w))))
     return A / rescale, rescale

@@ -17,20 +17,11 @@ import numpy as np
 from .errors import NotHermitian
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerances; the defaults govern the whole package."""
-
-    tol_eig: float = 1e-10
-    tol_unitary: float = 1e-9
-    tol_trace: float = 1e-10
-
-    def __post_init__(self):
-        if self.tol_eig <= 0 or self.tol_unitary <= 0 or self.tol_trace <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+# Largest Hermiticity defect accepted, and the cutoff below which eigenvalue
+# differences and eigenvector components count as zero.
+TOL_EIG = 1e-10
+# Largest entry of |U U^dag - I| accepted as unitary.
+TOL_UNITARY = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,39 +55,39 @@ def hermiticity_defect(H: np.ndarray) -> float:
     return float(np.max(np.abs(H - H.swapaxes(-1, -2).conj())))
 
 
-def is_unitary(U: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_unitary(U: np.ndarray) -> bool:
     U = as_matrix(U)
     d = U.shape[0]
-    return float(np.max(np.abs(U @ U.conj().T - np.eye(d)))) <= tol.tol_unitary
+    return float(np.max(np.abs(U @ U.conj().T - np.eye(d)))) <= TOL_UNITARY
 
 
-def _fix_phases(V: np.ndarray, tol: float) -> np.ndarray:
-    """Rotate each column so its first component above `tol` is real positive.
+def _fix_phases(V: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first component above TOL_EIG is real positive.
 
-    A column with no component above `tol` is rotated by its first component;
-    a column whose pivot is zero is left as it is."""
-    idx = np.argmax(np.abs(V) > tol, axis=-2)
+    A column with no component above TOL_EIG is rotated by its first
+    component; a column whose pivot is zero is left as it is."""
+    idx = np.argmax(np.abs(V) > TOL_EIG, axis=-2)
     pivot = np.take_along_axis(V, idx[..., None, :], axis=-2)
     mag = np.abs(pivot)
     factor = np.divide(mag, pivot, out=np.ones_like(pivot), where=mag > 0)
     return V * factor
 
 
-def eig_hermitian(H: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEig:
+def eig_hermitian(H: np.ndarray) -> HermitianEig:
     """Eigendecompose a Hermitian matrix, or an (n, d, d) stack of them, with
     deterministic eigenvector phases."""
     H = _as_square(H, (2, 3))
     defect = hermiticity_defect(H)
-    if defect > tol.tol_eig:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} > {tol.tol_eig:.3e}")
+    if defect > TOL_EIG:
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} > {TOL_EIG:.3e}")
     w, V = np.linalg.eigh(0.5 * (H + H.swapaxes(-1, -2).conj()))
-    V = _fix_phases(V, tol.tol_eig)
+    V = _fix_phases(V)
     return HermitianEig(values=w, vectors=V)
 
 
-def expm_hermitian_i(H: np.ndarray, scale: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def expm_hermitian_i(H: np.ndarray, scale: float) -> np.ndarray:
     """e^{i * scale * H} for Hermitian H (or each slice of a stack), via
     eigendecomposition."""
-    eig = eig_hermitian(H, tol)
+    eig = eig_hermitian(H)
     phases = np.exp(1j * scale * eig.values)
     return (eig.vectors * phases[..., None, :]) @ eig.vectors.swapaxes(-1, -2).conj()

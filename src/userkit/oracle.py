@@ -46,13 +46,13 @@ def mc_haar_unitary(dim: int, seed: int) -> np.ndarray:
     return Q * (diag / np.abs(diag))
 
 
-def compare(quantity: str, main: float, oracle_value: float, tol: float) -> OracleReport:
+def compare(quantity: str, main: float, oracle_value: float, tolerance: float) -> OracleReport:
     abs_err = abs(main - oracle_value)
     return OracleReport(
         quantity=quantity,
         main_value=main,
         oracle_value=oracle_value,
         abs_err=abs_err,
-        tolerance=tol,
-        passed=abs_err <= tol,
+        tolerance=tolerance,
+        passed=abs_err <= tolerance,
     )

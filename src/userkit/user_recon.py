@@ -11,7 +11,7 @@ spectral fractional powers exist only for oracles and diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, pi
 
 import numpy as np
@@ -25,14 +25,7 @@ from .errors import (
     NotNormalized,
     NotUnitary,
 )
-from .matrix_core import (
-    DEFAULT_TOL,
-    HermitianEig,
-    Tolerances,
-    as_matrix,
-    eig_hermitian,
-    is_unitary,
-)
+from .matrix_core import TOL_EIG, HermitianEig, as_matrix, eig_hermitian, is_unitary
 
 # Vectors held at once by each power chain of sample_integer_powers.
 _SAMPLE_BLOCK = 256
@@ -75,15 +68,16 @@ class PureState:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian observable with its eigendecomposition cached."""
+    """Hermitian observable; its eigendecomposition `eig` is computed from
+    `matrix` on construction, which also checks Hermiticity."""
 
     matrix: np.ndarray
-    eig: HermitianEig
+    eig: HermitianEig = field(init=False, repr=False)
 
-    @classmethod
-    def from_matrix(cls, O, tol: Tolerances = DEFAULT_TOL) -> "Observable":
-        O = as_matrix(O)
-        return cls(matrix=O, eig=eig_hermitian(O, tol))
+    def __post_init__(self):
+        m = as_matrix(self.matrix)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eig", eig_hermitian(m))
 
     @property
     def dim(self) -> int:
@@ -96,11 +90,10 @@ class Observable:
 
 @dataclass(frozen=True)
 class ReconstructionPlan:
-    """Sampling step lam, grid half-width n_l, and the safety multiplier."""
+    """Sampling step lam and grid half-width n_l."""
 
     lam: float
     n_l: int
-    safety: float = 10.0
 
     def __post_init__(self):
         if not 0.0 < self.lam < 0.5:
@@ -110,13 +103,13 @@ class ReconstructionPlan:
 
     @classmethod
     def from_gap(cls, gap: float, lam: float, safety: float = 10.0) -> "ReconstructionPlan":
-        return cls(lam=lam, n_l=required_n_l(gap, lam, safety), safety=safety)
+        return cls(lam=lam, n_l=required_n_l(gap, lam, safety))
 
 
-def spectral_decompose(U, tol: Tolerances = DEFAULT_TOL) -> SpectralUnitary:
+def spectral_decompose(U) -> SpectralUnitary:
     """Phases and eigenbasis of a unitary, phases sorted ascending in (-pi, pi]."""
     U = as_matrix(U)
-    if not is_unitary(U, tol):
+    if not is_unitary(U):
         raise NotUnitary("input is not unitary within tolerance")
     # A unitary is normal, so the complex Schur form is diagonal and the Schur
     # basis is an orthonormal eigenbasis (robust under degeneracy, unlike eig).
@@ -171,11 +164,11 @@ def check_discretization(su: SpectralUnitary, eta_d: float) -> bool:
     return eta_d * phase_separation(su) < pi
 
 
-def min_eigenvalue_gap(A_eig: HermitianEig, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Minimum nonzero pairwise eigenvalue gap; clusters within tol_eig collapse."""
+def min_eigenvalue_gap(A_eig: HermitianEig) -> float:
+    """Minimum nonzero pairwise eigenvalue gap; clusters within TOL_EIG collapse."""
     values = np.sort(np.asarray(A_eig.values, dtype=float))
     diffs = np.diff(values)
-    nontrivial = diffs[diffs > tol.tol_eig]
+    nontrivial = diffs[diffs > TOL_EIG]
     if nontrivial.size == 0:
         raise AllDegenerate("all eigenvalues coincide within tolerance")
     return float(np.min(nontrivial))
@@ -192,18 +185,18 @@ def required_n_l(gap: float, lam: float, safety: float = 10.0) -> int:
     return int(ceil(safety * (2.0 + gap) / (lam * gap)))
 
 
-def sinc_reconstruct(samples, lam: float) -> float:
-    """Whittaker-Shannon interpolation of the eta = 1 value from a symmetric grid.
+def sinc_reconstruct(samples, lam: float, eta: float) -> float:
+    """Whittaker-Shannon interpolation of the value at `eta` from a symmetric grid.
 
     samples[j] holds the value at eta = k * lam with k = j - n_l running over
-    -n_l .. n_l; returns sum_k samples[k] * sinc((1 - k*lam)/lam).
+    -n_l .. n_l; returns sum_k samples[k] * sinc((eta - k*lam)/lam).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size % 2 != 1 or samples.size < 3:
         raise BadLength(f"need an odd-length grid of >= 3 samples, got {samples.size}")
     n_l = samples.size // 2
     k = np.arange(-n_l, n_l + 1)
-    weights = np.sinc((1.0 - k * lam) / lam)
+    weights = np.sinc((eta - k * lam) / lam)
     return float(np.dot(samples, weights))
 
 
@@ -235,7 +228,6 @@ def sample_integer_powers(psi: PureState, O: Observable, U_sd: np.ndarray, n_l: 
     The chains U^k psi (forward) and (U^dag)^k psi (backward) run in the
     eigenbasis E of O, where U' = E^dag U E and <v|O|v> = sum_j w_j |v_j|^2,
     so each sample costs one matrix-vector product and no product with O.
-    The eigenbasis is read from O.eig, which Observable.from_matrix computes.
     Each chain goes through a buffer of at most _SAMPLE_BLOCK vectors, so
     memory stays O(_SAMPLE_BLOCK * d) however long the grid.
     """
@@ -258,10 +250,10 @@ def user_reconstruct(
     O: Observable,
     U_sd: np.ndarray,
     plan: ReconstructionPlan,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> float:
-    """Full reconstruction: sample integer powers of U_sd, then sinc-interpolate."""
-    if not is_unitary(U_sd, tol):
+    """Full reconstruction: sample integer powers of U_sd, then sinc-interpolate
+    the value at eta = 1."""
+    if not is_unitary(U_sd):
         raise NotUnitary("discretization unitary is not unitary within tolerance")
     samples = sample_integer_powers(psi, O, U_sd, plan.n_l)
-    return sinc_reconstruct(samples, plan.lam)
+    return sinc_reconstruct(samples, plan.lam, 1.0)

@@ -65,7 +65,7 @@ def test_criterion_1_reconstruction_exactness():
         d = (2, 4, 8)[i % 3]
         A = random_target_A(rng, d, min_gap=0.1)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         gap = min_eigenvalue_gap(eig_hermitian(A))
         plan = ReconstructionPlan.from_gap(gap, lam, safety)
         U_sd = expm_hermitian_i(A, np.pi * lam)
@@ -101,11 +101,11 @@ def test_criterion_2_aliasing_violation_detected():
         ph = rng.uniform(0, 2 * np.pi)
         psi = PureState(np.cos(th) * V[:, 0] + np.sin(th) * np.exp(1j * ph) * V[:, 1])
         off = np.outer(V[:, 0], V[:, 1].conj())
-        O = Observable.from_matrix(off + off.conj().T)
+        O = Observable(off + off.conj().T)
         lam = rng.uniform(0.6, 0.8)  # deliberately outside (0, 1/2)
         U_sd = expm_hermitian_i(A, np.pi * lam)
         samples = sample_integer_powers(psi, O, U_sd, 301)
-        rec = sinc_reconstruct(samples, lam)
+        rec = sinc_reconstruct(samples, lam, 1.0)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         if abs(rec - exact) > 0.1 * O.spread():
             violations += 1
@@ -116,15 +116,15 @@ def test_criterion_2_aliasing_violation_detected():
 def test_criterion_3_magnus_convergence_slopes():
     """Defect-vs-time slopes for the driven lattice: ~2 at order 1, ~3 at order 2."""
     t0 = time.time()
-    lat = LatticeSpec(n_sites=8, drive_omega=39.5)
-    fam = build_lattice_family(lat)
+    omega = 39.5
+    fam = build_lattice_family(LatticeSpec(n_sites=8))
     ts = [0.2, 0.1, 0.05, 0.025]
     slopes = []
     for kappa in (1, 2):
         errs = []
         for t in ts:
-            U_ref = time_ordered_evolve(fam, EvolutionSpec(gamma=lat.drive_omega, t_final=t, n_steps=1024))
-            M = magnus_truncated(fam, lat.drive_omega, t, kappa, n_steps=1024).matrix
+            U_ref = time_ordered_evolve(fam, EvolutionSpec(gamma=omega, t_final=t, n_steps=1024))
+            M = magnus_truncated(fam, omega, t, kappa, n_steps=1024)
             errs.append(np.linalg.norm(expm_hermitian_i(M, 1.0) - U_ref, 2))
         slopes.append(float(np.polyfit(np.log(ts), np.log(errs), 1)[0]))
     elapsed = time.time() - t0
@@ -153,7 +153,7 @@ def test_criterion_4_analytic_twirl_vs_monte_carlo():
             approx.append(expm_hermitian_i(delta, 1.0) @ U_i)
         ch = sear_error_channel(U_i, approx)
         probe = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         analytic = twirl_analytic(ch)
         mc = twirl_haar_mc(ch, 2000, seed=5000 + i, probe=probe, O=O)
         if abs(analytic.epsilon - mc.epsilon) <= 3.0 * mc.stderr + 1e-12:
@@ -168,10 +168,10 @@ def test_criterion_5_exact_depolarizer_recovered():
     worst = 0.0
     for eps in (0.0, 0.1, 0.5):
         for d in (2, 4, 8):
-            rho = density_from_pure(PureState(random_state(rng, d)))
-            O = Observable.from_matrix(random_hermitian(rng, d))
-            comp_value = expectation(depolarize(rho, eps), O)
-            rec = noise_strength_from_expectation(comp_value, rho, O)
+            psi = PureState(random_state(rng, d))
+            O = Observable(random_hermitian(rng, d))
+            comp_value = expectation(depolarize(density_from_pure(psi), eps), O)
+            rec = noise_strength_from_expectation(comp_value, psi, O)
             worst = max(worst, abs(rec - eps))
     ok = worst <= 1e-10
     _report(5, "exact depolarizer recovered", ok, f"max |eps_rec - eps|={worst:.2e}")
@@ -185,11 +185,9 @@ def test_criterion_6_error_bar_identity():
         d = 2
         A = random_target_A(rng, d, min_gap=0.2)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         twirl = [haar_unitary(d, rng) for _ in range(4)]
-        cfg = SearConfig(
-            n_a=2, lambdas=(0.25, 0.2), perturbation=1e-3, seed=i, n_s=2
-        )
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-3, seed=i, n_s=2)
         res = run_sear(A, psi, O, twirl, cfg)
         worst = max(worst, abs(res.error_bar - res.noise_strength * res.spread))
     ok = worst <= 1e-12

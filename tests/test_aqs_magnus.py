@@ -16,7 +16,7 @@ from userkit.aqs_magnus import (
 )
 from userkit.errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
 from userkit.lattice import LatticeSpec, build_lattice_family
-from userkit.matrix_core import expm_hermitian_i, is_unitary
+from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
 from conftest import random_hermitian, random_target_A
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -25,12 +25,12 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def constant_family(H):
-    return HamiltonianFamily(dim=H.shape[0], generator=lambda g, t: H, label="const")
+    return HamiltonianFamily(dim=H.shape[0], generator=lambda g, t: H)
 
 
 def linear_drive_family():
     # H(t) = X + t Z: the standard non-commuting benchmark
-    return HamiltonianFamily(dim=2, generator=lambda g, t: X + t * Z, label="X+tZ")
+    return HamiltonianFamily(dim=2, generator=lambda g, t: X + t * Z)
 
 
 class TestTimeOrderedEvolve:
@@ -53,7 +53,7 @@ class TestTimeOrderedEvolve:
         assert np.max(np.abs(U - np.eye(2))) < 1e-8
 
     def test_second_order_halving(self):
-        spec = LatticeSpec(n_sites=16, drive_omega=3.0)
+        spec = LatticeSpec(n_sites=16)
         fam = build_lattice_family(spec)
         ref = time_ordered_evolve(fam, EvolutionSpec(gamma=3.0, t_final=1.0, n_steps=1024))
         e1 = np.linalg.norm(
@@ -71,7 +71,7 @@ class TestTimeOrderedEvolve:
         # at d=24 a block holds 7 slices: 16, 21 and 22 steps end inside a
         # block, on its boundary and one slice past it; at d=96 it holds one
         assert _EVOLVE_BLOCK_ENTRIES // 24**2 == 7 and _EVOLVE_BLOCK_ENTRIES // 96**2 == 0
-        fam = linear_drive_family() if d == 2 else build_lattice_family(LatticeSpec(n_sites=d, drive_omega=8.0))
+        fam = linear_drive_family() if d == 2 else build_lattice_family(LatticeSpec(n_sites=d))
         spec = EvolutionSpec(gamma=6.5, t_final=0.7, n_steps=n_steps)
         dt = spec.t_final / n_steps
         ref = np.eye(d, dtype=complex)
@@ -111,6 +111,13 @@ class TestOmega1:
         out = magnus_omega1(constant_family(random_hermitian(rng, 2)), 0.0, 1e-12, n_steps=16)
         assert np.max(np.abs(out)) < 1e-11
 
+    def test_hermiticity_defect_above_tol_eig_rejected(self):
+        # a defect of 1e-9 is ten times TOL_EIG, the bound every other matrix is held to
+        fam = HamiltonianFamily(dim=2, generator=lambda g, t: X + 0.5e-9 * (X @ Z))
+        assert hermiticity_defect(fam.generator(0.0, 0.0)) == pytest.approx(1e-9)
+        with pytest.raises(NotHermitian):
+            magnus_omega1(fam, 0.0, 0.5, n_steps=16)
+
 
 class TestOmega2:
     def test_commuting_zero(self, rng):
@@ -137,14 +144,13 @@ class TestMagnusTruncated:
     def test_kappa1_constant(self, rng):
         H = random_hermitian(rng, 2)
         M = magnus_truncated(constant_family(H), 0.0, 0.5, 1, n_steps=64)
-        assert M.order == 1
-        assert np.max(np.abs(M.matrix + 0.5 * H)) < 1e-12
+        assert np.max(np.abs(M + 0.5 * H)) < 1e-12
 
     def test_kappa2_commuting_equals_kappa1(self, rng):
         H0 = random_hermitian(rng, 3)
         fam = HamiltonianFamily(dim=3, generator=lambda g, t: np.cos(t) * H0)
-        M1 = magnus_truncated(fam, 0.0, 0.8, 1, n_steps=512).matrix
-        M2 = magnus_truncated(fam, 0.0, 0.8, 2, n_steps=512).matrix
+        M1 = magnus_truncated(fam, 0.0, 0.8, 1, n_steps=512)
+        M2 = magnus_truncated(fam, 0.0, 0.8, 2, n_steps=512)
         assert np.max(np.abs(M1 - M2)) < 1e-10
 
     def test_unsupported_order(self):
@@ -159,7 +165,7 @@ class TestMagnusTruncated:
         errs = []
         for t in ts:
             U_ref = time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=t, n_steps=1024))
-            M = magnus_truncated(fam, 0.0, t, 2, n_steps=1024).matrix
+            M = magnus_truncated(fam, 0.0, t, 2, n_steps=1024)
             errs.append(np.linalg.norm(expm_hermitian_i(M, 1.0) - U_ref, 2))
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert slope >= 2.7
@@ -168,41 +174,41 @@ class TestMagnusTruncated:
 class TestDesignSequence:
     def test_exact_mode(self, rng):
         A = random_target_A(rng, 4)
-        plan = design_sequence(A, 0.25, 2, perturbation=0.0, seed=1)
+        plan = design_sequence(A, 0.25, perturbation=0.0, seed=1)
         assert plan.residual == 0.0
         U = approx_discretization_unitary(plan)
         assert np.max(np.abs(U - expm_hermitian_i(A, np.pi * 0.25))) < 1e-8
 
     def test_residual_bound(self, rng):
         A = random_target_A(rng, 4)
-        plan = design_sequence(A, 0.25, 2, perturbation=1e-3, seed=5, n_s=4)
+        plan = design_sequence(A, 0.25, perturbation=1e-3, seed=5, n_s=4)
         assert plan.residual <= 4e-3
 
     def test_determinism(self, rng):
         A = random_target_A(rng, 3)
-        p1 = design_sequence(A, 0.2, 2, perturbation=1e-2, seed=9)
-        p2 = design_sequence(A, 0.2, 2, perturbation=1e-2, seed=9)
+        p1 = design_sequence(A, 0.2, perturbation=1e-2, seed=9)
+        p2 = design_sequence(A, 0.2, perturbation=1e-2, seed=9)
         for M1, M2 in zip(p1.magnus_terms, p2.magnus_terms):
             assert np.array_equal(M1, M2)
         assert p1.residual == p2.residual
 
     def test_spectrum_out_of_range(self, rng):
         with pytest.raises(SpectrumOutOfRange):
-            design_sequence(2.0 * np.eye(2), 0.25, 2, 0.0, 0)
+            design_sequence(2.0 * np.eye(2), 0.25, 0.0, 0)
 
 
 class TestApproxDiscretizationUnitary:
     def test_always_unitary(self, rng):
         A = random_target_A(rng, 4)
         for p in (0.0, 1e-3, 0.1, 1.0):
-            plan = design_sequence(A, 0.2, 2, perturbation=p, seed=3)
+            plan = design_sequence(A, 0.2, perturbation=p, seed=3)
             assert is_unitary(approx_discretization_unitary(plan))
 
     def test_defect_scales_with_perturbation(self, rng):
         A = random_target_A(rng, 4)
         exact = expm_hermitian_i(A, np.pi * 0.2)
         for p in (1e-3, 1e-2):
-            plan = design_sequence(A, 0.2, 2, perturbation=p, seed=3)
+            plan = design_sequence(A, 0.2, perturbation=p, seed=3)
             dist = np.linalg.norm(approx_discretization_unitary(plan) - exact, 2)
             assert dist <= 5.0 * p  # empirical constant ~1, generous factor
 
@@ -211,14 +217,14 @@ class TestApproxDiscretizationUnitary:
         # exponential equals the time-ordered evolution
         H0 = random_hermitian(rng, 3, scale=0.3)
         fam = HamiltonianFamily(dim=3, generator=lambda g, t: np.sin(t) * H0)
-        M = magnus_truncated(fam, 0.0, 0.9, 2, n_steps=1024).matrix
+        M = magnus_truncated(fam, 0.0, 0.9, 2, n_steps=1024)
         U_direct = time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=0.9, n_steps=1024))
         assert np.max(np.abs(expm_hermitian_i(M, 1.0) - U_direct)) < 1e-6
 
 
 class TestDriveFit:
     def test_residual_reported_and_members_simulable(self):
-        spec = LatticeSpec(n_sites=4, drive_omega=2.0)
+        spec = LatticeSpec(n_sites=4)
         fam = build_lattice_family(spec)
         from userkit.lattice import build_target_hamiltonian, target_A_from_hamiltonian
 

@@ -4,6 +4,7 @@ import pytest
 from userkit.channels import (
     DensityMatrix,
     KrausChannel,
+    _UnitaryMembers,
     apply_channel,
     complementary_error_channel,
     density_from_pure,
@@ -26,11 +27,19 @@ from userkit.errors import (
     TraceViolation,
     UnphysicalEpsilon,
 )
-from userkit.matrix_core import Tolerances, eig_hermitian, expm_hermitian_i
+from userkit.matrix_core import expm_hermitian_i
 from userkit.user_recon import Observable, PureState
 from conftest import random_hermitian, random_state
 
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def non_hermitian_observable():
+    """A validated Observable whose matrix is swapped afterwards for a
+    non-Hermitian one, to reach the checks that guard against such a matrix."""
+    O = Observable(np.eye(2))
+    object.__setattr__(O, "matrix", np.array([[1j, 0.0], [0.0, 0.0]]))
+    return O
 
 
 def random_mixed_unitary_channel(rng, d, n):
@@ -56,30 +65,28 @@ class TestDensityMatrix:
 class TestExpectation:
     def test_maximally_mixed(self, rng):
         d = 4
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         rho = DensityMatrix(np.eye(d) / d)
         assert expectation(rho, O) == pytest.approx(np.real(np.trace(O.matrix)) / d, abs=1e-12)
 
     def test_pure_consistency(self, rng):
         d = 3
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         direct = float(np.real(psi.amplitudes.conj() @ O.matrix @ psi.amplitudes))
         assert expectation(density_from_pure(psi), O) == pytest.approx(direct, abs=1e-12)
 
     def test_double_loop_oracle(self, rng):
         d = 3
         rho = density_from_pure(PureState(random_state(rng, d)))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         oracle = sum(
             rho.matrix[i, j] * O.matrix[j, i] for i in range(d) for j in range(d)
         )
         assert expectation(rho, O) == pytest.approx(float(np.real(oracle)), abs=1e-12)
 
     def test_non_hermitian_observable_raises(self):
-        # Built directly, bypassing Observable.from_matrix's Hermiticity check.
-        M = np.array([[1j, 0.0], [0.0, 0.0]])
-        O = Observable(matrix=M, eig=eig_hermitian(np.eye(2)))
+        O = non_hermitian_observable()
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(NotHermitian):
             expectation(rho, O)
@@ -127,7 +134,7 @@ class TestSearErrorChannel:
         psi = random_state(rng, d)
         rho = density_from_pure(PureState(psi))
         rho_i = DensityMatrix(U_i @ rho.matrix @ U_i.conj().T)
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         ch = sear_error_channel(U_i, approx)
         lhs = expectation(apply_channel(ch, rho_i), O)
         oracle = np.mean(
@@ -179,7 +186,7 @@ class TestTwirlAnalytic:
             d = 2 + trial % 3
             ch = random_mixed_unitary_channel(rng, d, 2 + trial % 3)
             psi = PureState(random_state(rng, d))
-            O = Observable.from_matrix(random_hermitian(rng, d))
+            O = Observable(random_hermitian(rng, d))
             mc = twirl_haar_mc(ch, 2000, seed=trial, probe=psi, O=O)
             an = twirl_analytic(ch)
             assert abs(an.epsilon - mc.epsilon) <= 3.0 * mc.stderr + 1e-12
@@ -190,7 +197,7 @@ class TestTwirlHaarMc:
         d = 3
         ch = KrausChannel((np.eye(d, dtype=complex),))
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         est = twirl_haar_mc(ch, 500, seed=0, probe=psi, O=O)
         assert abs(est.epsilon) <= max(3.0 * est.stderr, 1e-10)
 
@@ -207,14 +214,14 @@ class TestTwirlHaarMc:
         )
         ch = KrausChannel(ks)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         est = twirl_haar_mc(ch, 1000, seed=3, probe=psi, O=O)
         assert abs(est.epsilon - 1.0) <= max(3.0 * est.stderr, 1e-10)
 
     def test_deterministic_under_seed(self, rng):
         ch = random_mixed_unitary_channel(rng, 2, 2)
         psi = PureState(random_state(rng, 2))
-        O = Observable.from_matrix(random_hermitian(rng, 2))
+        O = Observable(random_hermitian(rng, 2))
         e1 = twirl_haar_mc(ch, 200, seed=11, probe=psi, O=O)
         e2 = twirl_haar_mc(ch, 200, seed=11, probe=psi, O=O)
         assert e1.epsilon == e2.epsilon and e1.stderr == e2.stderr
@@ -225,7 +232,7 @@ class TestTwirlDiscrete:
         d = 2
         ch = KrausChannel((np.eye(d, dtype=complex),))
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         est = twirl_discrete(ch, [np.eye(d, dtype=complex)], psi, O)
         assert est.epsilon == pytest.approx(0.0, abs=1e-12)
 
@@ -233,7 +240,7 @@ class TestTwirlDiscrete:
         d = 3
         ch = random_mixed_unitary_channel(rng, d, 3)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         rng2 = np.random.default_rng(99)
         twirl_set = [haar_unitary(d, rng2) for _ in range(500)]
         est_d = twirl_discrete(ch, twirl_set, psi, O)
@@ -245,7 +252,7 @@ class TestTwirlDiscrete:
         d = 2
         ch = random_mixed_unitary_channel(rng, d, 2)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         ts = [haar_unitary(d, rng) for _ in range(20)]
         e1 = twirl_discrete(ch, ts, psi, O).epsilon
         e2 = twirl_discrete(ch, ts[::-1], psi, O).epsilon
@@ -278,7 +285,7 @@ class TestTwirlKernel:
         d = 3
         ch = random_mixed_unitary_channel(rng, d, 4) if kind == "mixed_unitary" else amplitude_damping_d3(0.3)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         twirl_set = [haar_unitary(d, rng) for _ in range(40)]
         est = twirl_discrete(ch, twirl_set, psi, O)
         eps, stderr = brute_force_twirl(ch, twirl_set, psi, O)
@@ -288,61 +295,78 @@ class TestTwirlKernel:
     def test_non_unitary_member_raises(self, rng):
         ch = random_mixed_unitary_channel(rng, 2, 2)
         psi = PureState(random_state(rng, 2))
-        O = Observable.from_matrix(Z)
+        O = Observable(Z)
         with pytest.raises(NotUnitary):
             twirl_discrete(ch, [np.eye(2), 1.1 * np.eye(2)], psi, O)
 
     def test_non_hermitian_observable_raises(self):
-        # Built directly, bypassing Observable.from_matrix's Hermiticity check.
-        O = Observable(matrix=np.array([[1j, 0.0], [0.0, 0.0]]), eig=eig_hermitian(np.eye(2)))
+        O = non_hermitian_observable()
         ch = KrausChannel((np.eye(2, dtype=complex),))
         with pytest.raises(NotHermitian):
             twirl_discrete(ch, [np.eye(2)], PureState(np.array([1.0, 0.0])), O)
 
     def test_output_trace_checked(self):
-        # A loose unitarity tolerance lets a scaled member through; the output
-        # trace 1.01^4 then fails the trace check.
+        # A set passed as already checked skips the unitarity check, so a
+        # scaled member gets through; the output trace 1.01^4 then fails.
         ch = KrausChannel((np.eye(2, dtype=complex),))
-        O = Observable.from_matrix(Z)
+        O = Observable(Z)
+        members = _UnitaryMembers([1.01 * np.eye(2)])
         with pytest.raises(TraceViolation):
-            twirl_discrete(ch, [1.01 * np.eye(2)], PureState(np.array([1.0, 0.0])), O, Tolerances(tol_unitary=1.0))
+            twirl_discrete(ch, members, PureState(np.array([1.0, 0.0])), O)
 
     def test_dimension_mismatch(self, rng):
         ch = KrausChannel((np.eye(3, dtype=complex),))
-        O3 = Observable.from_matrix(random_hermitian(rng, 3))
+        O3 = Observable(random_hermitian(rng, 3))
         with pytest.raises(DimensionMismatch):
             twirl_discrete(ch, [np.eye(3)], PureState(random_state(rng, 2)), O3)
         with pytest.raises(DimensionMismatch):
-            twirl_discrete(ch, [np.eye(3)], PureState(random_state(rng, 3)), Observable.from_matrix(Z))
+            twirl_discrete(ch, [np.eye(3)], PureState(random_state(rng, 3)), Observable(Z))
 
     def test_empty_twirl_set(self, rng):
         ch = KrausChannel((np.eye(2, dtype=complex),))
         with pytest.raises(ValueError, match="nonempty"):
-            twirl_discrete(ch, [], PureState(random_state(rng, 2)), Observable.from_matrix(Z))
+            twirl_discrete(ch, [], PureState(random_state(rng, 2)), Observable(Z))
 
 
 class TestNoiseStrengthQuotient:
     def _setup(self, rng, d=3):
         psi = PureState(random_state(rng, d))
-        rho = density_from_pure(psi)
-        O = Observable.from_matrix(random_hermitian(rng, d))
-        return rho, O
+        O = Observable(random_hermitian(rng, d))
+        return psi, O
 
     def test_endpoints_and_midpoint(self, rng):
-        rho, O = self._setup(rng)
-        t1 = expectation(rho, O)
+        psi, O = self._setup(rng)
+        t1 = expectation(density_from_pure(psi), O)
         td = float(np.real(np.trace(O.matrix))) / O.dim
-        assert noise_strength_from_expectation(t1, rho, O) == pytest.approx(0.0, abs=1e-12)
-        assert noise_strength_from_expectation(td, rho, O) == pytest.approx(1.0, abs=1e-12)
-        assert noise_strength_from_expectation(0.5 * (t1 + td), rho, O) == pytest.approx(
+        assert noise_strength_from_expectation(t1, psi, O) == pytest.approx(0.0, abs=1e-12)
+        assert noise_strength_from_expectation(td, psi, O) == pytest.approx(1.0, abs=1e-12)
+        assert noise_strength_from_expectation(0.5 * (t1 + td), psi, O) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_degenerate_probe(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        O = Observable.from_matrix(np.diag([1.0, -1.0]))
+        psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
+        O = Observable(np.diag([1.0, -1.0]))
         with pytest.raises(DegenerateDenominator):
-            noise_strength_from_expectation(0.3, rho, O)
+            noise_strength_from_expectation(0.3, psi, O)
+
+    def test_basis_probe_matches_density_matrix_bitwise(self, rng):
+        d = 5
+        O = Observable(random_hermitian(rng, d))
+        td = float(np.real(np.trace(O.matrix))) / d
+        for i in range(d):
+            psi = PureState(np.eye(d)[i])
+            t1 = expectation(density_from_pure(psi), O)
+            assert noise_strength_from_expectation(0.25, psi, O) == (0.25 - t1) / (td - t1)
+
+    def test_dimension_mismatch(self, rng):
+        psi, O = self._setup(rng, d=3)
+        with pytest.raises(DimensionMismatch):
+            noise_strength_from_expectation(0.3, PureState(random_state(rng, 2)), O)
+
+    def test_non_hermitian_observable_raises(self):
+        with pytest.raises(NotHermitian):
+            noise_strength_from_expectation(0.3, PureState(np.array([1.0, 0.0])), non_hermitian_observable())
 
 
 class TestDepolarize:
@@ -368,7 +392,7 @@ class TestDepolarize:
         for _ in range(10):
             d = 3
             rho = density_from_pure(PureState(random_state(rng, d)))
-            O = Observable.from_matrix(random_hermitian(rng, d))
+            O = Observable(random_hermitian(rng, d))
             eps = rng.uniform(0.0, 1.0)
             lhs = abs(expectation(rho, O) - expectation(depolarize(rho, eps), O))
             rhs = eps * abs(expectation(rho, O) - np.real(np.trace(O.matrix)) / d)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from userkit.cli import main
 from userkit.config import (
     KNOWN_KEYS,
+    SCHEMA_VERSION,
     Experiment,
     load_config,
     preset_config,
@@ -50,7 +51,7 @@ class TestLattice:
     def test_drive_vanishes_at_t0(self):
         spec = LatticeSpec(n_sites=8)
         fam = build_lattice_family(spec)
-        H0 = fam.at(spec.drive_omega, 0.0)
+        H0 = fam.at(8.0, 0.0)
         assert np.max(np.abs(H0 - kinetic_operator(spec))) < 1e-14
 
     @pytest.mark.parametrize("n", [4, 8, 16])
@@ -131,7 +132,7 @@ class TestConfig:
     def test_resolution_raises_only_config_error(self, data):
         key = data.draw(st.sampled_from(sorted(KNOWN_KEYS)))
         # Size keys take no valid value above 8, so no draw builds a large matrix.
-        ints = st.integers(max_value=8) if key in ("n_sites", "n_t", "n_a", "n_s") else st.integers()
+        ints = st.integers(max_value=8) if key in ("n_sites", "n_t", "n_s") else st.integers()
         scalar = st.one_of(ints, st.floats(), st.text(max_size=12), st.none(), st.booleans())
         value = data.draw(st.one_of(scalar, st.lists(scalar, max_size=5)))
         try:
@@ -174,7 +175,7 @@ class TestCli:
         res = run_library(cfg_path)
         # one block of 2 n_l + 1 rows (k = -n_l .. n_l) per ensemble member,
         # holding exactly that member's sample grid
-        assert len(res.per_sample) == json.loads(cfg_path.read_text())["n_a"]
+        assert len(res.per_sample) == len(json.loads(cfg_path.read_text())["lambdas"])
         start = 0
         for rec in res.per_sample:
             n_l = rec.samples.size // 2
@@ -224,6 +225,9 @@ class TestCli:
             ({"probe_state": "gaussian:0:0"}, "probe_state"),
             ({"slope": 1e308}, "lattice"),
             ({"n_sites": 100000}, "n_sites"),
+            ({"kappa": 2}, "kappa"),
+            ({"n_a": 4}, "n_a"),
+            ({"lambdas": []}, "lambdas"),
         ],
         ids=[
             "unknown_key",
@@ -243,6 +247,9 @@ class TestCli:
             "probe_gaussian_zero_width",
             "model_overflow",
             "n_sites_too_large",
+            "kappa_removed",
+            "n_a_removed",
+            "lambdas_empty",
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
@@ -250,9 +257,24 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         write_matrix_file("obs8.mat", np.diag(np.arange(8.0)))
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"schema": 1, **overrides}))
+        cfg_path.write_text(json.dumps({"schema": SCHEMA_VERSION, **overrides}))
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_schema_1_preset_file_exit_2(self, tmp_path, capsys):
+        # a preset file as schema 1 wrote it: it also carries the keys n_a and kappa
+        old = dict(preset_config("noisy-16").raw, schema=1, n_a=4, kappa=2)
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(old))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"unsupported schema version 1 (expected {SCHEMA_VERSION})" in capsys.readouterr().err
+
+    def test_ensemble_size_is_len_lambdas(self, tmp_path):
+        cfg_path = write_config(tmp_path, "exact-small", lambdas=[0.25, 0.2, 0.125])
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir), "--emit", "epsilon_json"]) == 0
+        assert len(json.loads((out_dir / "epsilon.json").read_text())["per_k"]) == 3
+        assert len(run_library(cfg_path).per_sample) == 3
 
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "exact-small")

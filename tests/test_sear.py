@@ -17,7 +17,7 @@ from conftest import random_hermitian, random_state, random_target_A
 def make_problem(rng, d=4):
     A = random_target_A(rng, d)
     psi = PureState(random_state(rng, d))
-    O = Observable.from_matrix(random_hermitian(rng, d))
+    O = Observable(random_hermitian(rng, d))
     return A, psi, O
 
 
@@ -34,7 +34,7 @@ def mean_reconstruction(psi, O, approx, cfg):
 class TestGenerateApproxUnitaries:
     def test_exact_mode_integer_inverse_lambda(self, rng):
         A, _, _ = make_problem(rng)
-        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         U_i = expm_hermitian_i(A, np.pi)
         for U_k, _, plan in generate_approx_unitaries(A, cfg):
             assert np.max(np.abs(U_k - U_i)) < 1e-8
@@ -42,14 +42,14 @@ class TestGenerateApproxUnitaries:
 
     def test_rounding_defect_recorded(self, rng):
         A, _, _ = make_problem(rng)
-        cfg = SearConfig(n_a=1, lambdas=(0.3,), perturbation=0.0, seed=0)
+        cfg = SearConfig(lambdas=(0.3,), perturbation=0.0, seed=0)
         (U_k, _, _), = generate_approx_unitaries(A, cfg)
         # tau = round(1/0.3) = 3, so the result is e^{i pi 0.9 A}, not U_i
         assert np.max(np.abs(U_k - expm_hermitian_i(A, np.pi * 0.9))) < 1e-8
 
     def test_determinism(self, rng):
         A, _, _ = make_problem(rng)
-        cfg = SearConfig(n_a=3, lambdas=(0.25, 0.2, 0.125), perturbation=1e-2, seed=5)
+        cfg = SearConfig(lambdas=(0.25, 0.2, 0.125), perturbation=1e-2, seed=5)
         l1 = generate_approx_unitaries(A, cfg)
         l2 = generate_approx_unitaries(A, cfg)
         for (U1, _, _), (U2, _, _) in zip(l1, l2):
@@ -59,8 +59,8 @@ class TestGenerateApproxUnitaries:
 class TestMeanApproxExpectation:
     def test_identity_observable(self, rng):
         A, psi, _ = make_problem(rng)
-        O = Observable.from_matrix(np.eye(4))
-        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        O = Observable(np.eye(4))
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
         mean, _ = mean_reconstruction(psi, O, approx, cfg)
         assert mean == pytest.approx(1.0, abs=1e-6)
@@ -69,7 +69,7 @@ class TestMeanApproxExpectation:
         from userkit.oracle import exact_intermediate_expectation
 
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
         mean, _ = mean_reconstruction(psi, O, approx, cfg)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
@@ -77,14 +77,14 @@ class TestMeanApproxExpectation:
 
     def test_single_element(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=1, lambdas=(0.2,), perturbation=1e-2, seed=2)
+        cfg = SearConfig(lambdas=(0.2,), perturbation=1e-2, seed=2)
         approx = generate_approx_unitaries(A, cfg)
         mean, values = mean_reconstruction(psi, O, approx, cfg)
         assert mean == values[0]
 
     def test_direct_eval_ablation_close_to_reconstruction(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
         mean_r, _ = mean_reconstruction(psi, O, approx, cfg)
         direct = []
@@ -97,7 +97,7 @@ class TestMeanApproxExpectation:
 class TestEstimateNoiseStrength:
     def test_exact_mode_zero(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
         mean_eps, per_k = estimate_noise_strength(approx, haar_twirl_set(4, 20, 1), psi, O)
         assert abs(mean_eps) < 1e-6
@@ -105,7 +105,7 @@ class TestEstimateNoiseStrength:
 
     def test_duplicate_members_zero(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, lambdas=(0.2, 0.2), perturbation=1e-2, seed=3)
+        cfg = SearConfig(lambdas=(0.2, 0.2), perturbation=1e-2, seed=3)
         approx = generate_approx_unitaries(A, cfg)
         dup = [approx[0], approx[0]]
         mean_eps, per_k = estimate_noise_strength(dup, haar_twirl_set(4, 20, 1), psi, O)
@@ -115,7 +115,7 @@ class TestEstimateNoiseStrength:
         from userkit.errors import NotUnitary
 
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=4)
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4)
         approx = generate_approx_unitaries(A, cfg)
         twirl_set = haar_twirl_set(4, 5, 1) + [1.1 * np.eye(4)]
         with pytest.raises(NotUnitary):
@@ -125,9 +125,7 @@ class TestEstimateNoiseStrength:
         from userkit.channels import complementary_error_channel, twirl_analytic
 
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(
-            n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=4
-        )
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4)
         approx = generate_approx_unitaries(A, cfg)
         from userkit.channels import twirl_discrete
 
@@ -146,28 +144,28 @@ class TestEstimateNoiseStrength:
 class TestRunSear:
     def test_exact_mode_end_to_end(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=4, lambdas=(0.25, 0.2, 0.125, 0.1), perturbation=0.0, seed=0)
+        cfg = SearConfig(lambdas=(0.25, 0.2, 0.125, 0.1), perturbation=0.0, seed=0)
         res = run_sear(A, psi, O, haar_twirl_set(4, 50, 2), cfg)
         assert abs(res.mean_value - res.exact_value) <= 1e-3
         assert abs(res.error_bar) <= 1e-4
 
     def test_identity_observable_zero_spread(self, rng):
         A, psi, _ = make_problem(rng)
-        O = Observable.from_matrix(np.eye(4))
-        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=0)
+        O = Observable(np.eye(4))
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=0)
         res = run_sear(A, psi, O, haar_twirl_set(4, 20, 2), cfg)
         assert res.spread == pytest.approx(0.0, abs=1e-12)
         assert res.error_bar == pytest.approx(0.0, abs=1e-12)
 
     def test_error_bar_identity(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=1)
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=1)
         res = run_sear(A, psi, O, haar_twirl_set(4, 30, 2), cfg)
         assert res.error_bar == res.noise_strength * res.spread
 
     def test_exact_mode_per_sample_collapse(self, rng):
         A, psi, O = make_problem(rng)
-        cfg = SearConfig(n_a=3, lambdas=(0.25, 0.2, 0.125), perturbation=0.0, seed=0)
+        cfg = SearConfig(lambdas=(0.25, 0.2, 0.125), perturbation=0.0, seed=0)
         res = run_sear(A, psi, O, haar_twirl_set(4, 20, 2), cfg)
         values = [s.value for s in res.per_sample]
         assert max(values) - min(values) < 1e-6
@@ -175,7 +173,7 @@ class TestRunSear:
     def test_permutation_invariance_of_mean(self, rng):
         A, psi, O = make_problem(rng)
         twirl = haar_twirl_set(4, 30, 2)
-        cfg1 = SearConfig(n_a=2, lambdas=(0.25, 0.2), perturbation=1e-2, seed=6)
+        cfg1 = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=6)
         approx = generate_approx_unitaries(A, cfg1)
         m1, _ = mean_reconstruction(psi, O, approx, cfg1)
         e1, _ = estimate_noise_strength(approx, twirl, psi, O)
@@ -193,9 +191,7 @@ class TestRunSear:
             for seed in range(8):
                 loc = np.random.default_rng(1000 + seed)
                 A, psi, O = make_problem(loc)
-                cfg = SearConfig(
-                    n_a=2, lambdas=(0.25, 0.2), perturbation=p, seed=seed
-                )
+                cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=p, seed=seed)
                 approx = generate_approx_unitaries(A, cfg)
                 e, _ = estimate_noise_strength(approx, twirl, psi, O)
                 eps.append(e)

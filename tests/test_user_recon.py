@@ -9,6 +9,7 @@ from userkit.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     InvalidLambda,
+    NotHermitian,
     NotNormalized,
     NotUnitary,
 )
@@ -88,6 +89,21 @@ class TestPureState:
             PureState(np.array([bad, 0.0]))
 
 
+class TestObservable:
+    def test_eig_computed_from_matrix(self):
+        O = Observable(np.diag([1.0, -1.0]))
+        assert np.array_equal(O.eig.values, [-1.0, 1.0])
+        assert O.spread() == 2.0
+
+    def test_non_hermitian_raises(self):
+        with pytest.raises(NotHermitian):
+            Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_eig_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Observable(matrix=np.eye(2), eig=eig_hermitian(np.eye(2)))
+
+
 class TestPhaseSeparation:
     def test_identity_zero(self):
         assert phase_separation(su_from_phases([0.0, 0.0])) == 0.0
@@ -125,7 +141,7 @@ class TestMultiplicativeExpectation:
     def test_eta_zero(self, rng):
         d = 4
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         su = spectral_decompose(expm_hermitian_i(random_hermitian(rng, d), 0.3))
         direct = float(np.real(psi.amplitudes.conj() @ O.matrix @ psi.amplitudes))
         assert multiplicative_expectation(psi, O, su, 0.0) == pytest.approx(direct, abs=1e-12)
@@ -133,14 +149,14 @@ class TestMultiplicativeExpectation:
     def test_identity_observable(self, rng):
         d = 3
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(np.eye(d))
+        O = Observable(np.eye(d))
         su = spectral_decompose(expm_hermitian_i(random_hermitian(rng, d), 0.3))
         assert multiplicative_expectation(psi, O, su, 1.7) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_matrix_product_oracle(self, rng):
         d = 2
         psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
-        O = Observable.from_matrix(np.diag([1.0, -1.0]))
+        O = Observable(np.diag([1.0, -1.0]))
         su = su_from_phases([0.0, 0.7])
         eta = 1.3
         U_eta = unitary_power(su, eta)
@@ -154,7 +170,7 @@ class TestMultiplicativeExpectation:
         rng = np.random.default_rng(seed)
         d = 3
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         su = spectral_decompose(expm_hermitian_i(random_hermitian(rng, d), 0.4))
         U_eta = unitary_power(su, eta)
         v = U_eta @ psi.amplitudes
@@ -225,21 +241,23 @@ class TestSincReconstruct:
         samples = np.zeros(9)
         samples[4 + 2] = 3.7
         samples[4 + 1] = 0.9  # lands on an integer sinc argument, weight 0
-        assert sinc_reconstruct(samples, 0.5) == pytest.approx(3.7, abs=1e-12)
+        assert sinc_reconstruct(samples, 0.5, 1.0) == pytest.approx(3.7, abs=1e-12)
 
     def test_band_limited_cosine(self):
         lam, n_l = 0.25, 200
         k = np.arange(-n_l, n_l + 1)
         samples = np.cos(np.pi * k * lam)
-        assert sinc_reconstruct(samples, lam) == pytest.approx(-1.0, abs=5e-3)
+        assert sinc_reconstruct(samples, lam, 1.0) == pytest.approx(-1.0, abs=5e-3)
+        assert sinc_reconstruct(samples, lam, 0.5) == pytest.approx(0.0, abs=5e-3)
+        assert sinc_reconstruct(samples, lam, 0.3) == pytest.approx(np.cos(0.3 * np.pi), abs=5e-3)
 
     def test_constant_signal(self):
         samples = np.full(401, 2.5)
-        assert sinc_reconstruct(samples, 0.25) == pytest.approx(2.5, abs=2e-2)
+        assert sinc_reconstruct(samples, 0.25, 1.0) == pytest.approx(2.5, abs=2e-2)
 
     def test_bad_length(self):
         with pytest.raises(BadLength):
-            sinc_reconstruct(np.zeros(4), 0.25)
+            sinc_reconstruct(np.zeros(4), 0.25, 1.0)
 
 
 class TestUserReconstruct:
@@ -247,7 +265,7 @@ class TestUserReconstruct:
         d = 4
         A = random_target_A(rng, d)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(np.eye(d))
+        O = Observable(np.eye(d))
         U_sd = expm_hermitian_i(A, np.pi * 0.2)
         plan = ReconstructionPlan.from_gap(
             min_eigenvalue_gap(eig_hermitian(A)), 0.2, 10.0
@@ -258,7 +276,7 @@ class TestUserReconstruct:
         d = 4
         A = random_target_A(rng, d)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         U_sd = expm_hermitian_i(A, np.pi * 0.2)
         plan = ReconstructionPlan.from_gap(
             min_eigenvalue_gap(eig_hermitian(A)), 0.2, 10.0
@@ -269,7 +287,7 @@ class TestUserReconstruct:
     def test_plan_independence(self, rng):
         A = np.diag([1.0, -1.0]).astype(complex)
         psi = PureState(np.array([1.0, 0.0], dtype=complex))
-        O = Observable.from_matrix(random_hermitian(rng, 2))
+        O = Observable(random_hermitian(rng, 2))
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         for lam in (0.1, 0.2, 0.4):
             U_sd = expm_hermitian_i(A, np.pi * lam)
@@ -283,7 +301,7 @@ class TestUserReconstruct:
         d = int(rng.integers(2, 9))
         A = random_target_A(rng, d)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         lam = 0.2
         U_sd = expm_hermitian_i(A, np.pi * lam)
         plan = ReconstructionPlan.from_gap(min_eigenvalue_gap(eig_hermitian(A)), lam, 10.0)
@@ -320,11 +338,11 @@ def assert_samples_match_references(psi, O, U, n_l):
 
 def observable_of_kind(rng, d, kind):
     if kind == "random":
-        return Observable.from_matrix(random_hermitian(rng, d))
+        return Observable(random_hermitian(rng, d))
     if kind == "projector":  # rank 1: eigenvalue 0 is (d - 1)-fold degenerate
         v = random_state(rng, d)
-        return Observable.from_matrix(np.outer(v, v.conj()))
-    return Observable.from_matrix(2.5 * np.eye(d))
+        return Observable(np.outer(v, v.conj()))
+    return Observable(2.5 * np.eye(d))
 
 
 class TestSampleIntegerPowers:
@@ -341,17 +359,17 @@ class TestSampleIntegerPowers:
 
     def test_dimension_mismatch(self, rng):
         U = expm_hermitian_i(random_hermitian(rng, 3), 0.3)
-        O3 = Observable.from_matrix(random_hermitian(rng, 3))
+        O3 = Observable(random_hermitian(rng, 3))
         with pytest.raises(DimensionMismatch):
             sample_integer_powers(PureState(random_state(rng, 2)), O3, U, 4)
         with pytest.raises(DimensionMismatch):
-            sample_integer_powers(PureState(random_state(rng, 3)), Observable.from_matrix(np.eye(2)), U, 4)
+            sample_integer_powers(PureState(random_state(rng, 3)), Observable(np.eye(2)), U, 4)
 
     @settings(max_examples=20, deadline=None)
     @given(d=st.integers(1, 6), n_l=st.integers(1, 600), seed=st.integers(0, 10**6))
     def test_property_matches_references(self, d, n_l, seed):
         rng = np.random.default_rng(seed)
         psi = PureState(random_state(rng, d))
-        O = Observable.from_matrix(random_hermitian(rng, d))
+        O = Observable(random_hermitian(rng, d))
         U = expm_hermitian_i(random_hermitian(rng, d), 0.5)
         assert_samples_match_references(psi, O, U, n_l)
