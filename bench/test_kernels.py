@@ -8,13 +8,15 @@ same config at n_sites=128; `twirl_discrete` runs on the first complementary
 defect channel of `noisy-16` over its 128-member Haar twirl set;
 `time_ordered_evolve` builds one member of the simulable twirl set
 (`twirl_mode: simulable`, 128 slices) of `noisy-16` at d=16 and at
-n_sites=128.  `bench/` is outside the test suite's `testpaths`, so a plain
-`pytest` run skips it.
+n_sites=128; `magnus_truncated` forms the order-2 Magnus operator of the
+lattice family at the same drive, on the 128-step grid the drive-fit designer
+uses, at d=16 and at n_sites=128.  `bench/` is outside the test suite's
+`testpaths`, so a plain `pytest` run skips it.
 """
 
 import pytest
 
-from userkit.aqs_magnus import EvolutionSpec, time_ordered_evolve
+from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
 from userkit.channels import complementary_error_channel, twirl_discrete
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
@@ -59,3 +61,11 @@ def test_time_ordered_evolve(benchmark, n_sites):
     spec = EvolutionSpec(gamma=cfg.raw["drive_omega"], t_final=0.65, n_steps=128)
     U = benchmark(time_ordered_evolve, fam, spec)
     assert U.shape == (n_sites, n_sites)
+
+
+@pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])
+def test_magnus_truncated(benchmark, n_sites):
+    cfg = resolve_config(dict(preset_config("noisy-16").raw, n_sites=n_sites))
+    fam = build_lattice_family(cfg.lattice)
+    M = benchmark(magnus_truncated, fam, cfg.raw["drive_omega"], 0.65, 2, 128)
+    assert M.shape == (n_sites, n_sites)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,17 +20,26 @@ from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, expm_hermitian_i, he
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
-    """Parameterized time-dependent Hermitian generator: (gamma, t) -> H."""
+    """Driven generator H_gamma(t) = K + sin(gamma t) V.  K and V are checked
+    once, on construction: square, of one shape, finite, and Hermitian."""
 
-    dim: int
-    generator: Callable[[float, float], np.ndarray]
+    K: np.ndarray
+    V: np.ndarray
 
-    def at(self, gamma: float, t: float) -> np.ndarray:
-        H = as_matrix(self.generator(gamma, t))
-        defect = hermiticity_defect(H)
-        if defect > TOL_EIG:
-            raise NotHermitian(f"generator({gamma}, {t}) Hermiticity defect {defect:.3e}")
-        return H
+    def __post_init__(self):
+        K, V = as_matrix(self.K), as_matrix(self.V)
+        if K.shape != V.shape:
+            raise ValueError(f"K and V shapes differ: {K.shape} vs {V.shape}")
+        for name, H in (("K", K), ("V", V)):
+            defect = hermiticity_defect(H)
+            if defect > TOL_EIG:
+                raise NotHermitian(f"{name} Hermiticity defect {defect:.3e} > {TOL_EIG:.3e}")
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "V", V)
+
+    @property
+    def dim(self) -> int:
+        return self.K.shape[0]
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,10 @@ class SequencePlan:
     specs: Optional[tuple] = None  # EvolutionSpec per member in drive-fit mode
 
 
-def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:
+def _drive(gamma: float, t: float, n_steps: int) -> tuple[np.ndarray, float]:
+    """sin(gamma t_j) on the n_steps midpoints t_j of [0, t], and the step dt."""
     dt = t / n_steps
-    return (np.arange(n_steps) + 0.5) * dt, dt
+    return np.sin(gamma * ((np.arange(n_steps) + 0.5) * dt)), dt
 
 
 # Matrix entries per stacked block of slices: 64 KB of complex numbers, 16
@@ -73,41 +83,35 @@ _EVOLVE_BLOCK_ENTRIES = 1 << 12
 def time_ordered_evolve(fam: HamiltonianFamily, spec: EvolutionSpec) -> np.ndarray:
     """Ordered product of midpoint-slice exponentials, latest time leftmost.
 
-    The generator is evaluated on a block of midpoints at a time, and the block
-    is validated and exponentiated with one stacked `expm_hermitian_i` call."""
-    ts, dt = _midpoints(spec.t_final, spec.n_steps)
+    A block of slices K + s_j V is built at a time and exponentiated with one
+    stacked `expm_hermitian_i` call."""
+    s, dt = _drive(spec.gamma, spec.t_final, spec.n_steps)
     block = max(1, _EVOLVE_BLOCK_ENTRIES // fam.dim**2)
     U = np.eye(fam.dim, dtype=complex)
-    for start in range(0, len(ts), block):
-        slices = np.stack([fam.generator(spec.gamma, tj) for tj in ts[start : start + block]])
+    for start in range(0, len(s), block):
+        slices = fam.K + s[start : start + block, None, None] * fam.V
         for step in expm_hermitian_i(slices, -dt):
             U = step @ U
     return U
 
 
 def magnus_omega1(fam: HamiltonianFamily, gamma: float, t: float, n_steps: int = 512) -> np.ndarray:
-    """Omega_1 = -int_0^t H(t') dt', midpoint quadrature."""
-    ts, dt = _midpoints(t, n_steps)
-    acc = np.zeros((fam.dim, fam.dim), dtype=complex)
-    for tj in ts:
-        acc += fam.at(gamma, tj)
-    return -dt * acc
+    """Omega_1 = -int_0^t H(t') dt', midpoint quadrature: -dt (n K + sum_j s_j V)."""
+    s, dt = _drive(gamma, t, n_steps)
+    return -dt * (n_steps * fam.K + float(np.sum(s)) * fam.V)
 
 
 def magnus_omega2(fam: HamiltonianFamily, gamma: float, t: float, n_steps: int = 512) -> np.ndarray:
     """Omega_2 = (i/2) int_0^t dt1 int_0^t1 dt2 [H(t1), H(t2)], midpoint grid.
 
-    The triangle sum uses running partial sums, so the cost is n_steps matrix
-    products; diagonal cells contribute nothing (equal-time commutator).
+    The grid sum is sum_j [H_j, sum_{l<j} H_l] (equal-time cells contribute
+    nothing).  With [H_j, H_l] = (s_l - s_j) [K, V] it collapses to
+    c [K, V], c = sum_j (sum_{l<j} s_l - j s_j): one commutator however many
+    steps (Blanes, Casas, Oteo, Ros, Phys. Rep. 470 (2009)).
     """
-    ts, dt = _midpoints(t, n_steps)
-    Hs = [fam.at(gamma, tj) for tj in ts]
-    acc = np.zeros((fam.dim, fam.dim), dtype=complex)
-    partial = np.zeros_like(acc)
-    for H in Hs:
-        acc += H @ partial - partial @ H
-        partial += H
-    return 0.5j * dt * dt * acc
+    s, dt = _drive(gamma, t, n_steps)
+    c = float(np.sum(np.cumsum(s) - s - np.arange(n_steps) * s))
+    return 0.5j * dt * dt * c * (fam.K @ fam.V - fam.V @ fam.K)
 
 
 def magnus_truncated(

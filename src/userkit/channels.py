@@ -152,11 +152,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return Q * phases
 
 
+# Smallest |Tr[O]/d - <psi|O|psi>| from which a noise strength is recovered.
+DENOM_FLOOR = 1e-8
+
+
 def noise_strength_from_expectation(
     comp_value: float | np.ndarray,
     psi: PureState,
     O: Observable,
-    denom_floor: float = 1e-8,
 ) -> float | np.ndarray:
     """eps = (comp_value - <psi|O|psi>) / (Tr[O]/d - <psi|O|psi>), elementwise for an array."""
     if psi.dim != O.dim:
@@ -168,9 +171,9 @@ def noise_strength_from_expectation(
     t1 = val.real
     td = float(np.real(np.trace(O.matrix))) / O.dim
     denom = td - t1
-    if abs(denom) < denom_floor:
+    if abs(denom) < DENOM_FLOOR:
         raise DegenerateDenominator(
-            f"|Tr[O]/d - <psi|O|psi>| = {abs(denom):.3e} < {denom_floor:.1e}; "
+            f"|Tr[O]/d - <psi|O|psi>| = {abs(denom):.3e} < {DENOM_FLOOR:.1e}; "
             "probe cannot resolve the noise strength"
         )
     return (comp_value - t1) / denom

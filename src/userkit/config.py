@@ -12,7 +12,7 @@ import numpy as np
 
 from .aqs_magnus import EvolutionSpec, time_ordered_evolve
 from .channels import haar_unitary
-from .errors import ConfigError
+from .errors import ConfigError, NotHermitian
 from .lattice import (
     LatticeSpec,
     build_lattice_family,
@@ -25,28 +25,6 @@ from .sear import SearConfig
 from .user_recon import Observable, PureState
 
 SCHEMA_VERSION = 2
-
-KNOWN_KEYS = {
-    "schema",
-    "seed",
-    "n_sites",
-    "mass",
-    "spacing",
-    "drive_omega",
-    "slope",
-    "kinetic_mod",
-    "evolution_time",
-    "n_t",
-    "lambdas",
-    "perturbation",
-    "safety",
-    "n_s",
-    "probe_state",
-    "observable",
-    "twirl_mode",
-    "output_dir",
-    "emit",
-}
 
 EMIT_KINDS = {"samples_csv", "reconstruction_csv", "epsilon_json", "result_json"}
 
@@ -76,6 +54,8 @@ DEFAULTS = {
     "output_dir": ".",
     "emit": ["result_json"],
 }
+
+KNOWN_KEYS = set(DEFAULTS)
 
 PRESETS = {
     "exact-small": {
@@ -121,8 +101,16 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
-        # output_dir and emit select where/what to write, not what is computed
-        physics = {k: v for k, v in self.raw.items() if k not in ("output_dir", "emit")}
+        """Hash of the resolved values that select what is computed, so that
+        equal numbers (1 and 1.0) hash alike.  output_dir and emit select where
+        and what to write; drive_omega is read only by the simulable twirl set."""
+        r = self.raw
+        physics = {k: v for k, v in r.items() if k not in ("output_dir", "emit")}
+        physics["schema"] = int(r["schema"])
+        physics.update({key: float(r[key]) for key in REAL_KEYS})
+        physics.update({key: [float(x) for x in r[key]] for key in ("lambdas", "kinetic_mod")})
+        if r["twirl_mode"] == "haar":
+            del physics["drive_omega"]
         blob = json.dumps(physics, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -186,14 +174,17 @@ class Experiment:
             target_A, rescale = target_A_from_hamiltonian(build_target_hamiltonian(lattice), r["evolution_time"])
         except ValueError as exc:
             raise ConfigError(f"lattice parameters give an invalid target Hamiltonian: {exc}") from exc
-        O = observable_matrix(r["observable"], lattice)
-        if O.shape[0] != lattice.n_sites:
-            raise ConfigError(f"observable has dimension {O.shape[0]}, n_sites is {lattice.n_sites}")
+        try:  # a file: observable may hold any matrix
+            O = Observable(observable_matrix(r["observable"], lattice))
+        except (ValueError, NotHermitian) as exc:
+            raise ConfigError(f"observable {r['observable']!r}: {exc}") from exc
+        if O.dim != lattice.n_sites:
+            raise ConfigError(f"observable has dimension {O.dim}, n_sites is {lattice.n_sites}")
         return cls(
             target_A=target_A,
             t_eff=r["evolution_time"] / rescale,
             psi=PureState(probe_state_vector(r["probe_state"], lattice)),
-            O=Observable(O),
+            O=O,
             twirl_set=_twirl_set(r, lattice),
             sear=cfg.sear,
         )

@@ -63,13 +63,7 @@ def kinetic_operator(spec: LatticeSpec) -> np.ndarray:
 def build_lattice_family(spec: LatticeSpec) -> HamiltonianFamily:
     """Driven family H_gamma(t) = kinetic + a * x * sin(gamma t); gamma is the
     drive frequency parameter."""
-    K = kinetic_operator(spec)
-    V = spec.spacing * position_operator(spec)
-
-    def generator(gamma: float, t: float) -> np.ndarray:
-        return K + np.sin(gamma * t) * V
-
-    return HamiltonianFamily(dim=spec.n_sites, generator=generator)
+    return HamiltonianFamily(K=kinetic_operator(spec), V=spec.spacing * position_operator(spec))
 
 
 def build_target_hamiltonian(spec: LatticeSpec) -> np.ndarray:

@@ -45,7 +45,7 @@ class SearConfig:
             raise ValueError("lambdas must be nonempty")
         if any(not 0.0 < l < 0.5 for l in lams):
             raise ValueError("every lambda must lie in (0, 1/2)")
-        for name, low in (("n_s", 1), ("safety", 1), ("seed", 0)):
+        for name, low in (("n_s", 1), ("safety", 1), ("seed", 0), ("perturbation", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 

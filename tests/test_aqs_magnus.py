@@ -25,12 +25,38 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def constant_family(H):
-    return HamiltonianFamily(dim=H.shape[0], generator=lambda g, t: H)
+    return HamiltonianFamily(H, np.zeros_like(H))
+
+
+def sine_family(H0):
+    # H(t) = sin(gamma t) H0: commutes with itself at all times
+    return HamiltonianFamily(np.zeros_like(H0), H0)
 
 
 def linear_drive_family():
-    # H(t) = X + t Z: the standard non-commuting benchmark
-    return HamiltonianFamily(dim=2, generator=lambda g, t: X + t * Z)
+    # H(t) = X + sin(gamma t) Z: the standard non-commuting benchmark, run at gamma = 1
+    return HamiltonianFamily(X, Z)
+
+
+def omega1_per_slice(fam, gamma, t, n_steps):
+    """Reference Omega_1: the midpoint sum of the slice matrices."""
+    dt = t / n_steps
+    acc = np.zeros((fam.dim, fam.dim), dtype=complex)
+    for j in range(n_steps):
+        acc += fam.K + np.sin(gamma * ((j + 0.5) * dt)) * fam.V
+    return -dt * acc
+
+
+def omega2_per_slice(fam, gamma, t, n_steps):
+    """Reference Omega_2: sum_j [H_j, sum_{l<j} H_l] over the slice matrices."""
+    dt = t / n_steps
+    acc = np.zeros((fam.dim, fam.dim), dtype=complex)
+    partial = np.zeros_like(acc)
+    for j in range(n_steps):
+        H = fam.K + np.sin(gamma * ((j + 0.5) * dt)) * fam.V
+        acc += H @ partial - partial @ H
+        partial += H
+    return 0.5j * dt * dt * acc
 
 
 class TestTimeOrderedEvolve:
@@ -42,8 +68,8 @@ class TestTimeOrderedEvolve:
 
     def test_commuting_family(self, rng):
         H0 = random_hermitian(rng, 3)
-        fam = HamiltonianFamily(dim=3, generator=lambda g, t: np.sin(t) * H0)
-        U = time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=np.pi, n_steps=512))
+        fam = sine_family(H0)
+        U = time_ordered_evolve(fam, EvolutionSpec(gamma=1.0, t_final=np.pi, n_steps=512))
         # integral of sin over [0, pi] is 2
         assert np.max(np.abs(U - scipy.linalg.expm(-2j * H0))) < 1e-5
 
@@ -76,23 +102,30 @@ class TestTimeOrderedEvolve:
         dt = spec.t_final / n_steps
         ref = np.eye(d, dtype=complex)
         for j in range(n_steps):
-            ref = expm_hermitian_i(fam.at(spec.gamma, (j + 0.5) * dt), -dt) @ ref
+            H = fam.K + np.sin(spec.gamma * ((j + 0.5) * dt)) * fam.V
+            ref = expm_hermitian_i(H, -dt) @ ref
         assert np.array_equal(time_ordered_evolve(fam, spec), ref)
 
     def test_non_hermitian_generator_rejected(self):
-        fam = HamiltonianFamily(dim=2, generator=lambda g, t: X + 1j * t * Z)
+        # the family's matrices are checked once, on construction
         with pytest.raises(NotHermitian):
-            time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=1.0, n_steps=16))
+            HamiltonianFamily(X, 1j * Z)
 
     def test_nan_generator_rejected(self):
-        fam = HamiltonianFamily(dim=2, generator=lambda g, t: X + (np.nan if t > 0.5 else 0.0) * Z)
         with pytest.raises(ValueError, match="finite"):
-            time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=1.0, n_steps=16))
+            HamiltonianFamily(X, np.nan * Z)
 
     def test_wrong_shape_generator_rejected(self):
-        fam = HamiltonianFamily(dim=2, generator=lambda g, t: np.ones((2, 3)))
         with pytest.raises(ValueError, match="square"):
-            time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=1.0, n_steps=16))
+            HamiltonianFamily(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            HamiltonianFamily(X, np.eye(3))
+
+    def test_family_fields_and_dim(self):
+        fam = HamiltonianFamily(X, Z)
+        assert fam.dim == 2 and fam.K.dtype == complex and np.array_equal(fam.V, Z)
 
 
 class TestOmega1:
@@ -103,8 +136,7 @@ class TestOmega1:
 
     def test_sine_envelope(self, rng):
         H0 = random_hermitian(rng, 2)
-        fam = HamiltonianFamily(dim=2, generator=lambda g, t: np.sin(t) * H0)
-        out = magnus_omega1(fam, 0.0, np.pi, n_steps=1024)
+        out = magnus_omega1(sine_family(H0), 1.0, np.pi, n_steps=1024)
         assert np.max(np.abs(out + 2.0 * H0)) < 1e-5
 
     def test_short_time_zero(self, rng):
@@ -113,31 +145,54 @@ class TestOmega1:
 
     def test_hermiticity_defect_above_tol_eig_rejected(self):
         # a defect of 1e-9 is ten times TOL_EIG, the bound every other matrix is held to
-        fam = HamiltonianFamily(dim=2, generator=lambda g, t: X + 0.5e-9 * (X @ Z))
-        assert hermiticity_defect(fam.generator(0.0, 0.0)) == pytest.approx(1e-9)
+        K = X + 0.5e-9 * (X @ Z)
+        assert hermiticity_defect(K) == pytest.approx(1e-9)
         with pytest.raises(NotHermitian):
-            magnus_omega1(fam, 0.0, 0.5, n_steps=16)
+            HamiltonianFamily(K, Z)
+        with pytest.raises(NotHermitian):
+            HamiltonianFamily(Z, K)
 
 
 class TestOmega2:
     def test_commuting_zero(self, rng):
         H0 = random_hermitian(rng, 3)
-        fam = HamiltonianFamily(dim=3, generator=lambda g, t: np.sin(t) * H0)
-        assert np.max(np.abs(magnus_omega2(fam, 0.0, 1.0, 256))) < 1e-10
+        assert np.max(np.abs(magnus_omega2(sine_family(H0), 1.0, 1.0, 256))) < 1e-10
 
     def test_linear_drive_closed_form(self):
-        # H(t) = X + t Z gives Omega_2 = -(t^3/6) Y
-        t = 0.9
-        out = magnus_omega2(linear_drive_family(), 0.0, t, n_steps=2048)
-        assert np.max(np.abs(out + (t**3 / 6.0) * Y)) < 1e-6
+        # H(t) = X + sin(gamma t) Z gives Omega_2 = c(t) Y with
+        # c = t/gamma - 2 sin(gamma t)/gamma^2 + t cos(gamma t)/gamma
+        g, t = 1.0, 0.9
+        c = t / g - 2.0 * np.sin(g * t) / g**2 + t * np.cos(g * t) / g
+        out = magnus_omega2(linear_drive_family(), g, t, n_steps=2048)
+        assert np.max(np.abs(out - c * Y)) < 1e-6
 
     def test_short_time_zero(self):
-        out = magnus_omega2(linear_drive_family(), 0.0, 1e-6, n_steps=16)
+        out = magnus_omega2(linear_drive_family(), 1.0, 1e-6, n_steps=16)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_hermitian(self):
-        out = magnus_omega2(linear_drive_family(), 0.0, 1.3, n_steps=256)
+        out = magnus_omega2(linear_drive_family(), 1.0, 1.3, n_steps=256)
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
+
+
+class TestScalarSums:
+    """The closed forms equal the per-slice matrix sums they replace."""
+
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize(
+        "gamma, t, n_steps", [(0.0, 0.8, 64), (1.0, 0.9, 512), (6.5, 0.7, 21), (8.0, 1.0, 128), (3.0, 2.5, 1024)]
+    )
+    def test_matches_per_slice_loops(self, rng, d, gamma, t, n_steps):
+        fam = HamiltonianFamily(random_hermitian(rng, d), random_hermitian(rng, d))
+        ref1 = omega1_per_slice(fam, gamma, t, n_steps)
+        out1 = magnus_omega1(fam, gamma, t, n_steps)
+        assert np.linalg.norm(out1 - ref1) <= 1e-13 * np.linalg.norm(ref1)
+        ref2 = omega2_per_slice(fam, gamma, t, n_steps)
+        out2 = magnus_omega2(fam, gamma, t, n_steps)
+        # at gamma = 0 the family is constant and the loop's Omega_2 is pure
+        # rounding: measure it against the scale t^2 |[K, V]| of the term
+        scale = np.linalg.norm(ref2) if gamma else t**2 * np.linalg.norm(fam.K @ fam.V - fam.V @ fam.K)
+        assert np.linalg.norm(out2 - ref2) <= 1e-13 * scale
 
 
 class TestMagnusTruncated:
@@ -147,10 +202,9 @@ class TestMagnusTruncated:
         assert np.max(np.abs(M + 0.5 * H)) < 1e-12
 
     def test_kappa2_commuting_equals_kappa1(self, rng):
-        H0 = random_hermitian(rng, 3)
-        fam = HamiltonianFamily(dim=3, generator=lambda g, t: np.cos(t) * H0)
-        M1 = magnus_truncated(fam, 0.0, 0.8, 1, n_steps=512)
-        M2 = magnus_truncated(fam, 0.0, 0.8, 2, n_steps=512)
+        fam = sine_family(random_hermitian(rng, 3))
+        M1 = magnus_truncated(fam, 1.0, 0.8, 1, n_steps=512)
+        M2 = magnus_truncated(fam, 1.0, 0.8, 2, n_steps=512)
         assert np.max(np.abs(M1 - M2)) < 1e-10
 
     def test_unsupported_order(self):
@@ -159,13 +213,13 @@ class TestMagnusTruncated:
 
     def test_convergence_order_kappa2(self):
         # For smooth drives [H(t1), H(t2)] = O(|t1 - t2|), so the kappa=2
-        # defect is at least O(t^3); for X + tZ the measured slope is ~5.
+        # defect is at least O(t^3); for X + sin(t) Z the measured slope is ~5.
         fam = linear_drive_family()
         ts = [0.2, 0.1, 0.05, 0.025]
         errs = []
         for t in ts:
-            U_ref = time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=t, n_steps=1024))
-            M = magnus_truncated(fam, 0.0, t, 2, n_steps=1024)
+            U_ref = time_ordered_evolve(fam, EvolutionSpec(gamma=1.0, t_final=t, n_steps=1024))
+            M = magnus_truncated(fam, 1.0, t, 2, n_steps=1024)
             errs.append(np.linalg.norm(expm_hermitian_i(M, 1.0) - U_ref, 2))
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert slope >= 2.7
@@ -216,9 +270,9 @@ class TestApproxDiscretizationUnitary:
         # commuting family: kappa=2 Magnus is exact, so the member's
         # exponential equals the time-ordered evolution
         H0 = random_hermitian(rng, 3, scale=0.3)
-        fam = HamiltonianFamily(dim=3, generator=lambda g, t: np.sin(t) * H0)
-        M = magnus_truncated(fam, 0.0, 0.9, 2, n_steps=1024)
-        U_direct = time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=0.9, n_steps=1024))
+        fam = sine_family(H0)
+        M = magnus_truncated(fam, 1.0, 0.9, 2, n_steps=1024)
+        U_direct = time_ordered_evolve(fam, EvolutionSpec(gamma=1.0, t_final=0.9, n_steps=1024))
         assert np.max(np.abs(expm_hermitian_i(M, 1.0) - U_direct)) < 1e-6
 
 

@@ -51,7 +51,7 @@ class TestLattice:
     def test_drive_vanishes_at_t0(self):
         spec = LatticeSpec(n_sites=8)
         fam = build_lattice_family(spec)
-        H0 = fam.at(8.0, 0.0)
+        H0 = fam.K + np.sin(8.0 * 0.0) * fam.V
         assert np.max(np.abs(H0 - kinetic_operator(spec))) < 1e-14
 
     @pytest.mark.parametrize("n", [4, 8, 16])
@@ -139,6 +139,27 @@ class TestConfig:
             Experiment.from_config(resolve_config({key: value}))
         except ConfigError:
             pass
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ({"mass": 1}, {"mass": 1.0}),
+            ({"schema": 2}, {"schema": 2.0}),
+            ({"kinetic_mod": [0, 0, 1]}, {"kinetic_mod": [0.0, 0.0, 1.0]}),
+            ({"drive_omega": 8.0}, {"drive_omega": 3.0}),
+        ],
+        ids=["int_real_key", "float_schema", "int_kinetic_mod", "haar_drive_omega"],
+    )
+    def test_config_hash_of_resolved_values(self, a, b):
+        assert resolve_config(a).config_hash() == resolve_config(b).config_hash()
+
+    def test_config_hash_tells_computations_apart(self):
+        def digest(**overrides):
+            return resolve_config(overrides).config_hash()
+
+        assert digest(mass=1.0) != digest(mass=1.5)
+        # the simulable twirl set is built at drive_omega
+        assert digest(twirl_mode="simulable", drive_omega=8.0) != digest(twirl_mode="simulable", drive_omega=3.0)
 
     def test_matrix_file_roundtrip(self, tmp_path, rng):
         M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -228,6 +249,9 @@ class TestCli:
             ({"kappa": 2}, "kappa"),
             ({"n_a": 4}, "n_a"),
             ({"lambdas": []}, "lambdas"),
+            ({"observable": "file:nan8.mat", "n_sites": 8}, "observable"),
+            ({"observable": "file:nonherm8.mat", "n_sites": 8}, "observable"),
+            ({"perturbation": -1}, "perturbation"),
         ],
         ids=[
             "unknown_key",
@@ -250,12 +274,17 @@ class TestCli:
             "kappa_removed",
             "n_a_removed",
             "lambdas_empty",
+            "observable_file_nan",
+            "observable_file_not_hermitian",
+            "perturbation_negative",
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
     def test_unknown_key_exit_2(self, tmp_path, monkeypatch, capsys, overrides, key):
         monkeypatch.chdir(tmp_path)
         write_matrix_file("obs8.mat", np.diag(np.arange(8.0)))
+        write_matrix_file("nan8.mat", np.diag([np.nan] + [0.0] * 7))
+        write_matrix_file("nonherm8.mat", np.diag(np.arange(8.0)) + np.eye(8, k=1))
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"schema": SCHEMA_VERSION, **overrides}))
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
