@@ -4,9 +4,9 @@
 
 `sample_integer_powers` runs on the grid of the last ensemble member
 (lambda = 0.1, the longest grid) of the `noisy-16` preset at d=16 and of the
-same config at n_sites=128; `twirl_discrete` runs on the first complementary
-defect channel of `noisy-16` over its 128-member Haar twirl set;
-`time_ordered_evolve` builds one member of the simulable twirl set
+same config at n_sites=128; `twirl_discrete` runs on the defect channel
+measured against the first member of `noisy-16` over its 128-member Haar
+twirl set; `time_ordered_evolve` builds one member of the simulable twirl set
 (`twirl_mode: simulable`, 128 slices) of `noisy-16` at d=16 and at
 n_sites=128; `magnus_truncated` forms the order-2 Magnus operator of the
 lattice family at the same drive, on the 128-step grid the drive-fit designer
@@ -17,12 +17,12 @@ uses, at d=16 and at n_sites=128.  `bench/` is outside the test suite's
 import pytest
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
-from userkit.channels import complementary_error_channel, twirl_discrete
+from userkit.channels import sear_error_channel, twirl_discrete
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
 from userkit.matrix_core import eig_hermitian
 from userkit.sear import generate_approx_unitaries
-from userkit.user_recon import ReconstructionPlan, min_eigenvalue_gap, sample_integer_powers
+from userkit.user_recon import min_eigenvalue_gap, required_n_l, sample_integer_powers
 
 
 def noisy_experiment(n_sites):
@@ -34,9 +34,9 @@ def noisy_experiment(n_sites):
 @pytest.fixture(scope="module", params=[16, 128], ids=["d16", "d128"])
 def sampling_inputs(request):
     exp, approx = noisy_experiment(request.param)
-    _, U_sd, plan = approx[-1]
+    _, U_sd, _ = approx[-1]
     gap = min_eigenvalue_gap(eig_hermitian(exp.target_A))
-    n_l = ReconstructionPlan.from_gap(gap, plan.lam, exp.sear.safety).n_l
+    n_l = required_n_l(gap, exp.sear.lambdas[-1], exp.sear.safety)
     return exp.psi, exp.O, U_sd, n_l
 
 
@@ -48,7 +48,8 @@ def test_sample_integer_powers(benchmark, sampling_inputs):
 
 def test_twirl_discrete_d16(benchmark):
     exp, approx = noisy_experiment(16)
-    ch = complementary_error_channel([U_k for U_k, _, _ in approx], 0)
+    unitaries = [U_k for U_k, _, _ in approx]
+    ch = sear_error_channel(unitaries[0], unitaries)
     est = benchmark(twirl_discrete, ch, exp.twirl_set, exp.psi, exp.O)
     assert est.epsilon >= 0.0
 

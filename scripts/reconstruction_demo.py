@@ -12,13 +12,7 @@ import numpy as np
 
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
 from userkit.oracle import exact_intermediate_expectation, mc_haar_unitary
-from userkit.user_recon import (
-    Observable,
-    PureState,
-    ReconstructionPlan,
-    min_eigenvalue_gap,
-    user_reconstruct,
-)
+from userkit.user_recon import Observable, PureState, min_eigenvalue_gap, required_n_l, user_reconstruct
 
 
 def main():
@@ -40,12 +34,12 @@ def main():
     O = Observable(0.5 * (G + G.conj().T))
 
     gap = min_eigenvalue_gap(eig_hermitian(A))
-    plan = ReconstructionPlan.from_gap(gap, args.lam, args.safety)
+    n_l = required_n_l(gap, args.lam, args.safety)
     U_sd = expm_hermitian_i(A, np.pi * args.lam)
-    rec = user_reconstruct(psi, O, U_sd, plan)
+    rec, _ = user_reconstruct(psi, O, U_sd, args.lam, n_l)
     exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
 
-    print(f"dim={args.dim} lam={args.lam} gap={gap:.4f} n_l={plan.n_l}")
+    print(f"dim={args.dim} lam={args.lam} gap={gap:.4f} n_l={n_l}")
     print(f"reconstructed: {rec:.12g}")
     print(f"exact:         {exact:.12g}")
     print(f"error:         {abs(rec - exact):.3e}")

@@ -20,7 +20,6 @@ from .matrix_core import (
 from .user_recon import (
     Observable,
     PureState,
-    ReconstructionPlan,
     SpectralUnitary,
     aliasing_rate,
     check_discretization,
@@ -50,7 +49,6 @@ from .channels import (
     DepolarizingEstimate,
     KrausChannel,
     apply_channel,
-    complementary_error_channel,
     density_from_pure,
     depolarize,
     expectation,
@@ -66,7 +64,6 @@ from .sear import (
     SearResult,
     estimate_noise_strength,
     generate_approx_unitaries,
-    reconstruct_members,
     run_sear,
 )
 from .lattice import (

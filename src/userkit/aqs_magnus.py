@@ -61,8 +61,6 @@ class SequencePlan:
     (approximately) pi * lam * A; `residual` is the honest operator-norm defect."""
 
     magnus_terms: tuple
-    target_A: np.ndarray
-    lam: float
     residual: float
     specs: Optional[tuple] = None  # EvolutionSpec per member in drive-fit mode
 
@@ -164,7 +162,7 @@ def design_sequence(
         terms.append(base + G)
         defect_sum = defect_sum + G
     residual = float(np.linalg.norm(defect_sum, 2))
-    return SequencePlan(magnus_terms=tuple(terms), target_A=target_A, lam=lam, residual=residual)
+    return SequencePlan(magnus_terms=tuple(terms), residual=residual)
 
 
 def design_sequence_drive_fit(
@@ -207,19 +205,12 @@ def design_sequence_drive_fit(
         EvolutionSpec(gamma=float(w), t_final=float(abs(t)) + 1e-6, n_steps=n_steps)
         for w, t in zip(x[:n_s], x[n_s:])
     )
-    return SequencePlan(
-        magnus_terms=tuple(terms),
-        target_A=target_A,
-        lam=lam,
-        residual=residual,
-        specs=specs,
-    )
+    return SequencePlan(magnus_terms=tuple(terms), residual=residual, specs=specs)
 
 
 def approx_discretization_unitary(plan: SequencePlan) -> np.ndarray:
     """Ordered product prod_xi e^{i M_xi}; always unitary by construction."""
-    d = plan.target_A.shape[0]
-    U = np.eye(d, dtype=complex)
+    U = np.eye(plan.magnus_terms[0].shape[0], dtype=complex)
     for M in plan.magnus_terms:
         U = expm_hermitian_i(0.5 * (M + M.conj().T), 1.0) @ U
     return U

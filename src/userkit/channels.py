@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
-    IndexOutOfRange,
     NotHermitian,
     NotTracePreserving,
     NotUnitary,
@@ -99,15 +98,6 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _mixed_unitary_channel(unitaries) -> KrausChannel:
-    n = len(unitaries)
-    for U in unitaries:
-        if not is_unitary(U):
-            raise NotUnitary("ensemble member is not unitary")
-    w = 1.0 / np.sqrt(n)
-    return KrausChannel(tuple(w * as_matrix(U) for U in unitaries))
-
-
 def sear_error_channel(U_i, approx_list) -> KrausChannel:
     """Mixed-unitary channel with Kraus (1/sqrt(n_a)) U_a^(mu) U_i^dag.
 
@@ -118,14 +108,11 @@ def sear_error_channel(U_i, approx_list) -> KrausChannel:
     if not is_unitary(U_i):
         raise NotUnitary("reference unitary is not unitary")
     Uid = U_i.conj().T
-    return _mixed_unitary_channel([as_matrix(U) @ Uid for U in approx_list])
-
-
-def complementary_error_channel(approx_list, k: int) -> KrausChannel:
-    """Defect channel measured against the k-th ensemble member instead of U_i."""
-    if not 0 <= k < len(approx_list):
-        raise IndexOutOfRange(f"k={k} outside [0, {len(approx_list)})")
-    return sear_error_channel(approx_list[k], approx_list)
+    products = [as_matrix(U) @ Uid for U in approx_list]
+    if not all(is_unitary(P) for P in products):
+        raise NotUnitary("ensemble member is not unitary")
+    w = 1.0 / np.sqrt(len(products))
+    return KrausChannel(tuple(w * P for P in products))
 
 
 def _epsilon_range(dim: int) -> float:

@@ -31,6 +31,9 @@ EMIT_KINDS = {"samples_csv", "reconstruction_csv", "epsilon_json", "result_json"
 INT_KEYS = ("seed", "n_sites", "n_t", "n_s")
 # The dense substrate's size limit (see `matrix_core`): every model matrix is n_sites x n_sites.
 MAX_N_SITES = 256
+# Complex entries the twirl set (n_t matrices of n_sites^2, all built before
+# anything runs) may hold: 1 GiB, so n_t = 1024 at 256 sites.
+MAX_TWIRL_ENTRIES = 1 << 26
 REAL_KEYS = ("mass", "spacing", "drive_omega", "slope", "evolution_time", "perturbation", "safety")
 
 DEFAULTS = {
@@ -115,6 +118,11 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _is_finite_number(x) -> bool:
+    # abs(x) <= max is False for nan, +-inf and ints beyond the float range
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def resolve_config(overrides: dict) -> ExperimentConfig:
     # Before the key check, so a file of another schema is reported as such.
     schema = overrides.get("schema", SCHEMA_VERSION)
@@ -138,13 +146,19 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
         if type(raw[key]) is not int:
             raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
     for key in REAL_KEYS:
-        # abs(x) <= max is False for nan, +-inf and ints beyond the float range
-        if type(raw[key]) not in (int, float) or not abs(raw[key]) <= sys.float_info.max:
+        if not _is_finite_number(raw[key]):
             raise ConfigError(f"{key} must be a finite number, got {raw[key]!r}")
+    for key in ("lambdas", "kinetic_mod"):
+        if not isinstance(raw[key], list) or not all(_is_finite_number(x) for x in raw[key]):
+            raise ConfigError(f"{key} must be a list of finite numbers, got {raw[key]!r}")
     if raw["n_t"] < 1:
         raise ConfigError(f"n_t must be positive, got {raw['n_t']}")
     if raw["n_sites"] > MAX_N_SITES:
         raise ConfigError(f"n_sites must be at most {MAX_N_SITES}, got {raw['n_sites']}")
+    if raw["n_t"] * raw["n_sites"] ** 2 > MAX_TWIRL_ENTRIES:
+        raise ConfigError(
+            f"n_t * n_sites^2 = {raw['n_t'] * raw['n_sites'] ** 2} twirl-set entries exceed {MAX_TWIRL_ENTRIES}"
+        )
     cfg = ExperimentConfig(raw=raw)
     try:  # their own range checks, reported as config errors
         cfg.lattice, cfg.sear
@@ -176,7 +190,7 @@ class Experiment:
             raise ConfigError(f"lattice parameters give an invalid target Hamiltonian: {exc}") from exc
         try:  # a file: observable may hold any matrix
             O = Observable(observable_matrix(r["observable"], lattice))
-        except (ValueError, NotHermitian) as exc:
+        except (ValueError, NotHermitian, ConfigError) as exc:
             raise ConfigError(f"observable {r['observable']!r}: {exc}") from exc
         if O.dim != lattice.n_sites:
             raise ConfigError(f"observable has dimension {O.dim}, n_sites is {lattice.n_sites}")
@@ -257,9 +271,9 @@ def observable_matrix(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
         return sine_momentum_operator(lattice)
     if parts[0] == "file":
         if len(parts) != 2:
-            raise ConfigError("observable 'file' spec needs a path: 'file:<path>'")
+            raise ConfigError("a 'file' observable needs a path: 'file:<path>'")
         return read_matrix_file(parts[1])
-    raise ConfigError(f"unknown observable spec: {spec_str!r}")
+    raise ConfigError("unknown observable spec")
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -274,9 +288,14 @@ def read_matrix_file(path: str) -> np.ndarray:
         entries = [complex(float(a), float(b)) for a, b in (ln.split() for ln in lines[1:])]
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"malformed matrix file {path}: {exc}") from exc
+    if dim < 1:
+        raise ConfigError(f"matrix file {path}: dimension must be >= 1, got {dim}")
     if len(entries) != dim * dim:
         raise ConfigError(f"matrix file {path}: expected {dim * dim} entries, got {len(entries)}")
-    return np.asarray(entries, dtype=complex).reshape(dim, dim)
+    M = np.asarray(entries, dtype=complex).reshape(dim, dim)
+    if not np.all(np.isfinite(M)):
+        raise ConfigError(f"matrix file {path}: entries must be finite")
+    return M
 
 
 def write_matrix_file(path: str, M: np.ndarray) -> None:

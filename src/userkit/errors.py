@@ -53,8 +53,8 @@ class NotTracePreserving(UserKitError):
     pass
 
 
-class IndexOutOfRange(UserKitError):
-    pass
+class GridTooLarge(UserKitError):
+    """The sampling grid the grid rule asks for is too large to allocate."""
 
 
 class DegenerateDenominator(UserKitError):

@@ -2,9 +2,9 @@
 
 Stage I/II: build an ensemble of approximate intermediate unitaries from
 designed discretization sequences and reconstruct each sample's expectation
-value by integer-power sampling.  Stage III: twirl the complementary defect
-channels over a unitary set to estimate a depolarizing noise strength, and
-report mean value +/- (noise strength x observable spread).
+value by integer-power sampling.  Stage III: twirl the defect channel
+measured against each member over a unitary set to estimate a depolarizing
+noise strength, and report mean value +/- (noise strength x observable spread).
 """
 
 from __future__ import annotations
@@ -16,16 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aqs_magnus import SequencePlan, approx_discretization_unitary, design_sequence
-from .channels import _unitary_members, complementary_error_channel, twirl_discrete
+from .channels import _unitary_members, sear_error_channel, twirl_discrete
 from .matrix_core import TOL_EIG, eig_hermitian, expm_hermitian_i
-from .user_recon import (
-    Observable,
-    PureState,
-    ReconstructionPlan,
-    min_eigenvalue_gap,
-    sample_integer_powers,
-    sinc_reconstruct,
-)
+from .user_recon import Observable, PureState, min_eigenvalue_gap, required_n_l, user_reconstruct
 
 
 @dataclass(frozen=True)
@@ -57,8 +50,8 @@ class SampleRecord:
 
     lam: float
     value: float
-    epsilon: Optional[float] = None
-    samples: Optional[np.ndarray] = None
+    epsilon: float
+    samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,41 +80,21 @@ def generate_approx_unitaries(
     return out
 
 
-def reconstruct_members(
-    psi: PureState,
-    O: Observable,
-    approx_list: Sequence[tuple[np.ndarray, np.ndarray, SequencePlan]],
-    config: SearConfig,
-) -> list[tuple[float, np.ndarray]]:
-    """Per ensemble member: the sinc-reconstructed eta = 1 value and the grid of
-    integer-power samples of its U_sd it was interpolated from.  All members
-    share one target A, so its eigenvalue gap is taken once."""
-    if not approx_list:
-        raise ValueError("approx_list must be nonempty")
-    gap = min_eigenvalue_gap(eig_hermitian(approx_list[0][2].target_A))
-    out = []
-    for _, U_sd, plan in approx_list:
-        rplan = ReconstructionPlan.from_gap(gap, plan.lam, config.safety)
-        samples = sample_integer_powers(psi, O, U_sd, rplan.n_l)
-        out.append((sinc_reconstruct(samples, rplan.lam, 1.0), samples))
-    return out
-
-
 def estimate_noise_strength(
     approx_list: Sequence[tuple[np.ndarray, np.ndarray, SequencePlan]],
     twirl_set: Sequence[np.ndarray],
     psi: PureState,
     O: Observable,
 ) -> tuple[float, list[float]]:
-    """Per-k discrete twirl of the complementary defect channel, then the mean.
-    The twirl set is checked unitary once, not once per k."""
+    """Per-k discrete twirl of the defect channel measured against member k,
+    sear_error_channel(U_k, [U_1 .. U_n]), then the mean.  The twirl set is
+    checked unitary once, not once per k."""
     unitaries = [U_k for U_k, _, _ in approx_list]
     members = _unitary_members(twirl_set)
-    per_k = []
-    for k in range(len(unitaries)):
-        ch = complementary_error_channel(unitaries, k)
-        est = twirl_discrete(ch, members, psi, O)
-        per_k.append(est.epsilon)
+    per_k = [
+        twirl_discrete(sear_error_channel(U_k, unitaries), members, psi, O).epsilon
+        for U_k in unitaries
+    ]
     return float(np.mean(per_k)), per_k
 
 
@@ -132,8 +105,15 @@ def run_sear(
     twirl_set: Sequence[np.ndarray],
     config: SearConfig,
 ) -> SearResult:
+    # All members share one A, so its gap is taken once, and every grid is
+    # sized (and an oversized one refused) before any work is done.
+    gap = min_eigenvalue_gap(eig_hermitian(target_A))
+    n_ls = [required_n_l(gap, lam, config.safety) for lam in config.lambdas]
     approx_list = generate_approx_unitaries(target_A, config)
-    members = reconstruct_members(psi, O, approx_list, config)
+    members = [
+        user_reconstruct(psi, O, U_sd, lam, n_l)
+        for (_, U_sd, _), lam, n_l in zip(approx_list, config.lambdas, n_ls)
+    ]
     mean_value = float(np.mean([value for value, _ in members]))
     spread = O.spread()
     if spread <= TOL_EIG:

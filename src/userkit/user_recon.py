@@ -21,6 +21,7 @@ from .errors import (
     BadLength,
     DegenerateSpectrum,
     DimensionMismatch,
+    GridTooLarge,
     InvalidLambda,
     NotNormalized,
     NotUnitary,
@@ -29,6 +30,8 @@ from .matrix_core import TOL_EIG, HermitianEig, as_matrix, eig_hermitian, is_uni
 
 # Vectors held at once by each power chain of sample_integer_powers.
 _SAMPLE_BLOCK = 256
+# Largest sample grid (2 n_l + 1 points) required_n_l allows: 128 MB of float64.
+MAX_GRID_SAMPLES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -86,24 +89,6 @@ class Observable:
     def spread(self) -> float:
         """Eigenvalue spread |w_max - w_min|; scales the SEAR error bar."""
         return float(self.eig.values[-1] - self.eig.values[0])
-
-
-@dataclass(frozen=True)
-class ReconstructionPlan:
-    """Sampling step lam and grid half-width n_l."""
-
-    lam: float
-    n_l: int
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 0.5:
-            raise InvalidLambda(f"lambda must be in (0, 1/2), got {self.lam}")
-        if self.n_l < 1:
-            raise ValueError("n_l must be positive")
-
-    @classmethod
-    def from_gap(cls, gap: float, lam: float, safety: float = 10.0) -> "ReconstructionPlan":
-        return cls(lam=lam, n_l=required_n_l(gap, lam, safety))
 
 
 def spectral_decompose(U) -> SpectralUnitary:
@@ -174,15 +159,25 @@ def min_eigenvalue_gap(A_eig: HermitianEig) -> float:
     return float(np.min(nontrivial))
 
 
-def required_n_l(gap: float, lam: float, safety: float = 10.0) -> int:
-    """Grid half-width: ceil(safety * (2 + gap) / (lam * gap))."""
+def required_n_l(gap: float, lam: float, safety: float) -> int:
+    """Grid half-width: ceil(safety * (2 + gap) / (lam * gap)).
+
+    The only rule for the grid size.  A grid of more than MAX_GRID_SAMPLES
+    samples is refused here, before anything is allocated for it."""
     if not 0.0 < lam < 0.5:
         raise InvalidLambda(f"lambda must be in (0, 1/2), got {lam}")
     if gap <= 0:
         raise ValueError("gap must be positive")
     if safety < 1:
         raise ValueError("safety must be >= 1")
-    return int(ceil(safety * (2.0 + gap) / (lam * gap)))
+    half_width = safety * (2.0 + gap) / (lam * gap)
+    # ceil(x) <= m iff x <= m for an integer m; also False for an infinite x
+    if not half_width <= (MAX_GRID_SAMPLES - 1) // 2:
+        raise GridTooLarge(
+            f"gap {gap:.6g}, lambda {lam}, safety {safety:.6g} need a grid of more "
+            f"than {MAX_GRID_SAMPLES} samples"
+        )
+    return int(ceil(half_width))
 
 
 def sinc_reconstruct(samples, lam: float, eta: float) -> float:
@@ -246,14 +241,11 @@ def sample_integer_powers(psi: PureState, O: Observable, U_sd: np.ndarray, n_l: 
 
 
 def user_reconstruct(
-    psi: PureState,
-    O: Observable,
-    U_sd: np.ndarray,
-    plan: ReconstructionPlan,
-) -> float:
-    """Full reconstruction: sample integer powers of U_sd, then sinc-interpolate
-    the value at eta = 1."""
+    psi: PureState, O: Observable, U_sd: np.ndarray, lam: float, n_l: int
+) -> tuple[float, np.ndarray]:
+    """Full reconstruction: sample integer powers k = -n_l .. n_l of U_sd, then
+    sinc-interpolate the value at eta = 1.  Returns the value and the samples."""
     if not is_unitary(U_sd):
         raise NotUnitary("discretization unitary is not unitary within tolerance")
-    samples = sample_integer_powers(psi, O, U_sd, plan.n_l)
-    return sinc_reconstruct(samples, plan.lam, 1.0)
+    samples = sample_integer_powers(psi, O, U_sd, n_l)
+    return sinc_reconstruct(samples, lam, 1.0), samples

@@ -33,8 +33,8 @@ from userkit.sear import SearConfig, run_sear
 from userkit.user_recon import (
     Observable,
     PureState,
-    ReconstructionPlan,
     min_eigenvalue_gap,
+    required_n_l,
     sample_integer_powers,
     sinc_reconstruct,
     user_reconstruct,
@@ -67,9 +67,8 @@ def test_criterion_1_reconstruction_exactness():
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
         gap = min_eigenvalue_gap(eig_hermitian(A))
-        plan = ReconstructionPlan.from_gap(gap, lam, safety)
         U_sd = expm_hermitian_i(A, np.pi * lam)
-        rec = user_reconstruct(psi, O, U_sd, plan)
+        rec, _ = user_reconstruct(psi, O, U_sd, lam, required_n_l(gap, lam, safety))
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         errors.append(abs(rec - exact))
     errors = np.asarray(errors)

@@ -6,7 +6,6 @@ from userkit.channels import (
     KrausChannel,
     _UnitaryMembers,
     apply_channel,
-    complementary_error_channel,
     density_from_pure,
     depolarize,
     expectation,
@@ -20,7 +19,6 @@ from userkit.channels import (
 from userkit.errors import (
     DegenerateDenominator,
     DimensionMismatch,
-    IndexOutOfRange,
     NotHermitian,
     NotTracePreserving,
     NotUnitary,
@@ -42,7 +40,7 @@ def non_hermitian_observable():
     return O
 
 
-def random_mixed_unitary_channel(rng, d, n):
+def random_mixed_unitary(rng, d, n):
     us = [haar_unitary(d, rng) for _ in range(n)]
     return KrausChannel(tuple(u / np.sqrt(n) for u in us))
 
@@ -148,26 +146,15 @@ class TestSearErrorChannel:
 
 class TestComplementaryChannel:
     def test_single_member_identity(self, rng):
-        ch = complementary_error_channel([haar_unitary(2, rng)], 0)
+        U = haar_unitary(2, rng)
+        ch = sear_error_channel(U, [U])
         assert np.allclose(ch.kraus[0], np.eye(2))
 
     def test_kth_kraus_is_identity(self, rng):
         approx = [haar_unitary(3, rng) for _ in range(4)]
         for k in range(4):
-            ch = complementary_error_channel(approx, k)
+            ch = sear_error_channel(approx[k], approx)
             assert np.allclose(ch.kraus[k], np.eye(3) / 2.0, atol=1e-12)
-
-    def test_definitional_equivalence(self, rng):
-        approx = [haar_unitary(3, rng) for _ in range(3)]
-        for k in range(3):
-            ch1 = complementary_error_channel(approx, k)
-            ch2 = sear_error_channel(approx[k], approx)
-            for K1, K2 in zip(ch1.kraus, ch2.kraus):
-                assert np.max(np.abs(K1 - K2)) < 1e-15
-
-    def test_index_out_of_range(self, rng):
-        with pytest.raises(IndexOutOfRange):
-            complementary_error_channel([np.eye(2, dtype=complex)], 1)
 
 
 class TestTwirlAnalytic:
@@ -184,7 +171,7 @@ class TestTwirlAnalytic:
         # formula validation on random mixed-unitary channels (d in {2,3,4})
         for trial in range(20):
             d = 2 + trial % 3
-            ch = random_mixed_unitary_channel(rng, d, 2 + trial % 3)
+            ch = random_mixed_unitary(rng, d, 2 + trial % 3)
             psi = PureState(random_state(rng, d))
             O = Observable(random_hermitian(rng, d))
             mc = twirl_haar_mc(ch, 2000, seed=trial, probe=psi, O=O)
@@ -219,7 +206,7 @@ class TestTwirlHaarMc:
         assert abs(est.epsilon - 1.0) <= max(3.0 * est.stderr, 1e-10)
 
     def test_deterministic_under_seed(self, rng):
-        ch = random_mixed_unitary_channel(rng, 2, 2)
+        ch = random_mixed_unitary(rng, 2, 2)
         psi = PureState(random_state(rng, 2))
         O = Observable(random_hermitian(rng, 2))
         e1 = twirl_haar_mc(ch, 200, seed=11, probe=psi, O=O)
@@ -238,7 +225,7 @@ class TestTwirlDiscrete:
 
     def test_agrees_with_haar_mc(self, rng):
         d = 3
-        ch = random_mixed_unitary_channel(rng, d, 3)
+        ch = random_mixed_unitary(rng, d, 3)
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
         rng2 = np.random.default_rng(99)
@@ -250,7 +237,7 @@ class TestTwirlDiscrete:
 
     def test_permutation_invariance(self, rng):
         d = 2
-        ch = random_mixed_unitary_channel(rng, d, 2)
+        ch = random_mixed_unitary(rng, d, 2)
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
         ts = [haar_unitary(d, rng) for _ in range(20)]
@@ -283,7 +270,7 @@ class TestTwirlKernel:
     @pytest.mark.parametrize("kind", ["mixed_unitary", "amplitude_damping"])
     def test_matches_density_matrix_reference(self, rng, kind):
         d = 3
-        ch = random_mixed_unitary_channel(rng, d, 4) if kind == "mixed_unitary" else amplitude_damping_d3(0.3)
+        ch = random_mixed_unitary(rng, d, 4) if kind == "mixed_unitary" else amplitude_damping_d3(0.3)
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
         twirl_set = [haar_unitary(d, rng) for _ in range(40)]
@@ -293,7 +280,7 @@ class TestTwirlKernel:
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_non_unitary_member_raises(self, rng):
-        ch = random_mixed_unitary_channel(rng, 2, 2)
+        ch = random_mixed_unitary(rng, 2, 2)
         psi = PureState(random_state(rng, 2))
         O = Observable(Z)
         with pytest.raises(NotUnitary):

@@ -126,6 +126,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_sites must be at most 256"):
             resolve_config({"n_sites": 257})
 
+    def test_twirl_set_limit(self):
+        # resolve_config builds nothing, so neither call builds a twirl set
+        assert resolve_config({"n_sites": 256, "n_t": 1024}).raw["n_t"] == 1024
+        with pytest.raises(ConfigError, match="n_t"):
+            resolve_config({"n_sites": 256, "n_t": 1025})
+        with pytest.raises(ConfigError, match="n_t"):
+            resolve_config({"n_sites": 8, "n_t": 10**9})
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
@@ -241,7 +249,7 @@ class TestCli:
             ({"spacing": float("nan")}, "spacing"),
             ({"mass": 1e400}, "mass"),
             ({"mass": 10**400}, "mass"),
-            ({"lambdas": [10**400, 0.2, 0.125, 0.1]}, "invalid config"),
+            ({"lambdas": [10**400, 0.2, 0.125, 0.1]}, "lambdas"),
             ({"observable": "file:obs8.mat", "n_sites": 16}, "observable"),
             ({"probe_state": "gaussian:0:0"}, "probe_state"),
             ({"slope": 1e308}, "lattice"),
@@ -252,6 +260,9 @@ class TestCli:
             ({"observable": "file:nan8.mat", "n_sites": 8}, "observable"),
             ({"observable": "file:nonherm8.mat", "n_sites": 8}, "observable"),
             ({"perturbation": -1}, "perturbation"),
+            ({"lambdas": [0.25, "0.2"]}, "lambdas"),
+            ({"kinetic_mod": [True, 0, 0]}, "kinetic_mod"),
+            ({"lambdas": 0.25}, "lambdas"),
         ],
         ids=[
             "unknown_key",
@@ -277,6 +288,9 @@ class TestCli:
             "observable_file_nan",
             "observable_file_not_hermitian",
             "perturbation_negative",
+            "lambda_string",
+            "kinetic_mod_bool",
+            "lambdas_not_list",
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
@@ -327,6 +341,14 @@ class TestCli:
             res.exact_value,
         )
 
+    @pytest.mark.parametrize("safety", [1e15, 1e300])
+    def test_oversized_grid_exit_3(self, tmp_path, capsys, safety):
+        cfg_path = write_config(tmp_path, "exact-small", safety=safety)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "GridTooLarge"
+        assert all(word in diag["message"] for word in ("gap", "lambda", "safety"))
+
     def test_twirl_zero_spread_exit_3(self, tmp_path, capsys):
         cfg_path = zero_spread_config(tmp_path)
         assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
@@ -339,6 +361,17 @@ class TestCli:
         assert main(["decompose", path]) == 0
         out = capsys.readouterr().out
         assert "phase_separation" in out and "aliasing_rate" in out
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1\nnan 0\n", "finite"), ("0\n", "dimension")],
+        ids=["nan_entry", "zero_dimension"],
+    )
+    def test_decompose_bad_matrix_file_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "u.txt"
+        path.write_text(text)
+        assert main(["decompose", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_decompose_phase_near_minus_pi(self, tmp_path, capsys):
         path = str(tmp_path / "u.txt")

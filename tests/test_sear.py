@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from userkit.channels import haar_unitary
-from userkit.matrix_core import expm_hermitian_i
-from userkit.sear import (
-    SearConfig,
-    estimate_noise_strength,
-    generate_approx_unitaries,
-    reconstruct_members,
-    run_sear,
-)
-from userkit.user_recon import Observable, PureState
+from userkit.matrix_core import eig_hermitian, expm_hermitian_i
+from userkit.sear import SearConfig, estimate_noise_strength, generate_approx_unitaries, run_sear
+from userkit.user_recon import Observable, PureState, min_eigenvalue_gap, required_n_l, user_reconstruct
 from conftest import random_hermitian, random_state, random_target_A
 
 
@@ -26,8 +20,13 @@ def haar_twirl_set(d, n, seed):
     return [haar_unitary(d, rng) for _ in range(n)]
 
 
-def mean_reconstruction(psi, O, approx, cfg):
-    values = [value for value, _ in reconstruct_members(psi, O, approx, cfg)]
+def mean_reconstruction(A, psi, O, approx, lambdas, safety):
+    """Mean of the members' reconstructed values; member k is sampled at lambdas[k]."""
+    gap = min_eigenvalue_gap(eig_hermitian(A))
+    values = [
+        user_reconstruct(psi, O, U_sd, lam, required_n_l(gap, lam, safety))[0]
+        for (_, U_sd, _), lam in zip(approx, lambdas)
+    ]
     return float(np.mean(values)), values
 
 
@@ -62,7 +61,7 @@ class TestMeanApproxExpectation:
         O = Observable(np.eye(4))
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
-        mean, _ = mean_reconstruction(psi, O, approx, cfg)
+        mean, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg.safety)
         assert mean == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_mode_matches_oracle(self, rng):
@@ -71,7 +70,7 @@ class TestMeanApproxExpectation:
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
-        mean, _ = mean_reconstruction(psi, O, approx, cfg)
+        mean, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg.safety)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         assert mean == pytest.approx(exact, abs=1e-3)
 
@@ -79,14 +78,14 @@ class TestMeanApproxExpectation:
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.2,), perturbation=1e-2, seed=2)
         approx = generate_approx_unitaries(A, cfg)
-        mean, values = mean_reconstruction(psi, O, approx, cfg)
+        mean, values = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg.safety)
         assert mean == values[0]
 
     def test_direct_eval_ablation_close_to_reconstruction(self, rng):
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
-        mean_r, _ = mean_reconstruction(psi, O, approx, cfg)
+        mean_r, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg.safety)
         direct = []
         for U_k, _, _ in approx:
             v = U_k @ psi.amplitudes
@@ -122,7 +121,7 @@ class TestEstimateNoiseStrength:
             estimate_noise_strength(approx, twirl_set, psi, O)
 
     def test_matches_analytic_twirl(self, rng):
-        from userkit.channels import complementary_error_channel, twirl_analytic
+        from userkit.channels import sear_error_channel, twirl_analytic
 
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4)
@@ -133,7 +132,7 @@ class TestEstimateNoiseStrength:
         mean_eps, per_k = estimate_noise_strength(approx, twirl_set, psi, O)
         unitaries = [U for U, _, _ in approx]
         for k, eps_k in enumerate(per_k):
-            ch = complementary_error_channel(unitaries, k)
+            ch = sear_error_channel(unitaries[k], unitaries)
             an = twirl_analytic(ch)
             est = twirl_discrete(ch, twirl_set, psi, O)
             assert eps_k == pytest.approx(est.epsilon, abs=1e-12)
@@ -157,6 +156,17 @@ class TestRunSear:
         assert res.spread == pytest.approx(0.0, abs=1e-12)
         assert res.error_bar == pytest.approx(0.0, abs=1e-12)
 
+    def test_members_are_user_reconstruct(self, rng):
+        # run_sear reconstructs each member with user_reconstruct, on the grid required_n_l sizes
+        A, psi, O = make_problem(rng)
+        cfg = SearConfig(lambdas=(0.25, 0.13, 0.3), perturbation=1e-2, seed=2)
+        res = run_sear(A, psi, O, haar_twirl_set(4, 20, 2), cfg)
+        gap = min_eigenvalue_gap(eig_hermitian(A))
+        for rec, (_, U_sd, _) in zip(res.per_sample, generate_approx_unitaries(A, cfg)):
+            value, samples = user_reconstruct(psi, O, U_sd, rec.lam, required_n_l(gap, rec.lam, cfg.safety))
+            assert rec.value == value
+            assert np.array_equal(rec.samples, samples)
+
     def test_error_bar_identity(self, rng):
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=1)
@@ -175,9 +185,9 @@ class TestRunSear:
         twirl = haar_twirl_set(4, 30, 2)
         cfg1 = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=6)
         approx = generate_approx_unitaries(A, cfg1)
-        m1, _ = mean_reconstruction(psi, O, approx, cfg1)
+        m1, _ = mean_reconstruction(A, psi, O, approx, cfg1.lambdas, cfg1.safety)
         e1, _ = estimate_noise_strength(approx, twirl, psi, O)
-        m2, _ = mean_reconstruction(psi, O, approx[::-1], cfg1)
+        m2, _ = mean_reconstruction(A, psi, O, approx[::-1], cfg1.lambdas[::-1], cfg1.safety)
         e2, _ = estimate_noise_strength(approx[::-1], twirl, psi, O)
         assert abs(m1 - m2) < 1e-12
         assert abs(e1 - e2) < 1e-12

@@ -8,6 +8,7 @@ from userkit.errors import (
     BadLength,
     DegenerateSpectrum,
     DimensionMismatch,
+    GridTooLarge,
     InvalidLambda,
     NotHermitian,
     NotNormalized,
@@ -16,9 +17,9 @@ from userkit.errors import (
 from userkit.matrix_core import HermitianEig, eig_hermitian, expm_hermitian_i
 from userkit.oracle import exact_intermediate_expectation
 from userkit.user_recon import (
+    MAX_GRID_SAMPLES,
     Observable,
     PureState,
-    ReconstructionPlan,
     SpectralUnitary,
     aliasing_rate,
     check_discretization,
@@ -231,8 +232,13 @@ class TestGapAndPlan:
     def test_invalid_lambda(self):
         with pytest.raises(InvalidLambda):
             required_n_l(1.0, 0.6, 1.0)
-        with pytest.raises(InvalidLambda):
-            ReconstructionPlan(lam=0.5, n_l=10)
+
+    def test_grid_limit(self):
+        # the largest half-width whose grid 2 n_l + 1 fits MAX_GRID_SAMPLES
+        limit = (MAX_GRID_SAMPLES - 1) // 2
+        assert required_n_l(2.0, 0.25, limit / 8.0) == limit
+        with pytest.raises(GridTooLarge):
+            required_n_l(2.0, 0.25, (limit + 1) / 8.0)
 
 
 class TestSincReconstruct:
@@ -267,10 +273,9 @@ class TestUserReconstruct:
         psi = PureState(random_state(rng, d))
         O = Observable(np.eye(d))
         U_sd = expm_hermitian_i(A, np.pi * 0.2)
-        plan = ReconstructionPlan.from_gap(
-            min_eigenvalue_gap(eig_hermitian(A)), 0.2, 10.0
-        )
-        assert user_reconstruct(psi, O, U_sd, plan) == pytest.approx(1.0, abs=1e-6)
+        n_l = required_n_l(min_eigenvalue_gap(eig_hermitian(A)), 0.2, 10.0)
+        value, _ = user_reconstruct(psi, O, U_sd, 0.2, n_l)
+        assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_exact_oracle(self, rng):
         d = 4
@@ -278,11 +283,10 @@ class TestUserReconstruct:
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
         U_sd = expm_hermitian_i(A, np.pi * 0.2)
-        plan = ReconstructionPlan.from_gap(
-            min_eigenvalue_gap(eig_hermitian(A)), 0.2, 10.0
-        )
+        n_l = required_n_l(min_eigenvalue_gap(eig_hermitian(A)), 0.2, 10.0)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
-        assert user_reconstruct(psi, O, U_sd, plan) == pytest.approx(exact, abs=1e-3)
+        value, _ = user_reconstruct(psi, O, U_sd, 0.2, n_l)
+        assert value == pytest.approx(exact, abs=1e-3)
 
     def test_plan_independence(self, rng):
         A = np.diag([1.0, -1.0]).astype(complex)
@@ -291,8 +295,8 @@ class TestUserReconstruct:
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         for lam in (0.1, 0.2, 0.4):
             U_sd = expm_hermitian_i(A, np.pi * lam)
-            plan = ReconstructionPlan.from_gap(2.0, lam, 10.0)
-            assert user_reconstruct(psi, O, U_sd, plan) == pytest.approx(exact, abs=1e-3)
+            value, _ = user_reconstruct(psi, O, U_sd, lam, required_n_l(2.0, lam, 10.0))
+            assert value == pytest.approx(exact, abs=1e-3)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -304,9 +308,10 @@ class TestUserReconstruct:
         O = Observable(random_hermitian(rng, d))
         lam = 0.2
         U_sd = expm_hermitian_i(A, np.pi * lam)
-        plan = ReconstructionPlan.from_gap(min_eigenvalue_gap(eig_hermitian(A)), lam, 10.0)
+        n_l = required_n_l(min_eigenvalue_gap(eig_hermitian(A)), lam, 10.0)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
-        assert abs(user_reconstruct(psi, O, U_sd, plan) - exact) <= 1e-2
+        value, _ = user_reconstruct(psi, O, U_sd, lam, n_l)
+        assert abs(value - exact) <= 1e-2
 
 
 def chain_reference(psi, O, U, n_l):
