@@ -4,9 +4,12 @@
 
 `sample_integer_powers` runs on the grid of the last ensemble member
 (lambda = 0.1, the longest grid) of the `noisy-16` preset at d=16 and of the
-same config at n_sites=128; `twirl_discrete` runs on the defect channel
-measured against the first member of `noisy-16` over its 128-member Haar
-twirl set; `time_ordered_evolve` builds one member of the simulable twirl set
+same config at n_sites=128; the closed-form Haar twirl (`twirl_analytic` of
+`sear_error_channel`, what `twirl_mode: haar` computes per member) runs on the
+defect channel measured against the first member of `noisy-16` at d=16 and
+at n_sites=128; `twirl_discrete` runs on that channel at d=16 over the
+64-member simulable twirl set of `noisy-16` with `twirl_mode: simulable`,
+`n_t: 64`; `time_ordered_evolve` builds one member of the simulable twirl set
 (`twirl_mode: simulable`, 128 slices) of `noisy-16` at d=16 and at
 n_sites=128; `magnus_truncated` forms the order-2 Magnus operator of the
 lattice family at the same drive, on the 128-step grid the drive-fit designer
@@ -17,7 +20,7 @@ uses, at d=16 and at n_sites=128.  `bench/` is outside the test suite's
 import pytest
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
-from userkit.channels import sear_error_channel, twirl_discrete
+from userkit.channels import sear_error_channel, twirl_analytic, twirl_discrete
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
 from userkit.matrix_core import eig_hermitian
@@ -25,8 +28,8 @@ from userkit.sear import generate_approx_unitaries
 from userkit.user_recon import min_eigenvalue_gap, required_n_l, sample_integer_powers
 
 
-def noisy_experiment(n_sites):
-    raw = dict(preset_config("noisy-16").raw, n_sites=n_sites)
+def noisy_experiment(n_sites, **overrides):
+    raw = dict(preset_config("noisy-16").raw, n_sites=n_sites, **overrides)
     exp = Experiment.from_config(resolve_config(raw))
     return exp, generate_approx_unitaries(exp.target_A, exp.sear)
 
@@ -46,8 +49,16 @@ def test_sample_integer_powers(benchmark, sampling_inputs):
     assert samples.shape == (2 * n_l + 1,)
 
 
+@pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])
+def test_twirl_closed_form(benchmark, n_sites):
+    _, approx = noisy_experiment(n_sites)
+    unitaries = [U_k for U_k, _, _ in approx]
+    est = benchmark(lambda: twirl_analytic(sear_error_channel(unitaries[0], unitaries)))
+    assert est.epsilon > 0.0
+
+
 def test_twirl_discrete_d16(benchmark):
-    exp, approx = noisy_experiment(16)
+    exp, approx = noisy_experiment(16, twirl_mode="simulable", n_t=64)
     unitaries = [U_k for U_k, _, _ in approx]
     ch = sear_error_channel(unitaries[0], unitaries)
     est = benchmark(twirl_discrete, ch, exp.twirl_set, exp.psi, exp.O)

@@ -115,20 +115,17 @@ def sear_error_channel(U_i, approx_list) -> KrausChannel:
     return KrausChannel(tuple(w * P for P in products))
 
 
-def _epsilon_range(dim: int) -> float:
-    return dim * dim / (dim * dim - 1.0)
-
-
 def twirl_analytic(ch: KrausChannel) -> DepolarizingEstimate:
     """Closed-form Haar twirl: eps = d^2 (1 - F_e) / (d^2 - 1) with the
     entanglement fidelity F_e = (1/d^2) sum_mu |Tr K_mu|^2.
 
-    Validated against the Monte-Carlo twirl oracle in the test suite.
+    F_e <= 1 for every trace-preserving channel, so a negative eps is rounding
+    and reads 0.  Validated against the Monte-Carlo twirl in the test suite.
     """
     d = ch.dim
     F_e = sum(abs(complex(np.trace(K))) ** 2 for K in ch.kraus) / (d * d)
     eps = d * d * (1.0 - F_e) / (d * d - 1.0)
-    return DepolarizingEstimate(epsilon=float(eps), stderr=0.0)
+    return DepolarizingEstimate(epsilon=max(0.0, float(eps)), stderr=0.0)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -235,8 +232,7 @@ def twirl_discrete(
 def depolarize(rho: DensityMatrix, epsilon: float) -> DensityMatrix:
     """Affine mix (1 - eps) rho + eps * Id/d over the physical eps range."""
     d = rho.dim
-    if not 0.0 <= epsilon <= _epsilon_range(d) + 1e-12:
-        raise UnphysicalEpsilon(
-            f"epsilon {epsilon} outside [0, {_epsilon_range(d):.6f}] at d={d}"
-        )
+    top = d * d / (d * d - 1.0)  # the largest eps for which the map is still completely positive
+    if not 0.0 <= epsilon <= top + 1e-12:
+        raise UnphysicalEpsilon(f"epsilon {epsilon} outside [0, {top:.6f}] at d={d}")
     return DensityMatrix((1.0 - epsilon) * rho.matrix + epsilon * np.eye(d) / d)

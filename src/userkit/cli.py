@@ -39,11 +39,12 @@ def _fmt(x: float) -> str:
 
 def _write_epsilon_json(cfg: ExperimentConfig, per_k: list, noise_strength: float) -> None:
     r = cfg.raw
+    haar = r["twirl_mode"] == "haar"
     payload = {
         "per_k": per_k,
         "mean": noise_strength,
-        "method": "discrete_sim/" + r["twirl_mode"],
-        "n_t": r["n_t"],
+        "method": "closed_form/haar" if haar else "discrete_sim/simulable",
+        "n_t": None if haar else r["n_t"],
     }
     atomic_write_text(
         os.path.join(r["output_dir"], "epsilon.json"),

@@ -5,13 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aqs_magnus import EvolutionSpec, time_ordered_evolve
-from .channels import haar_unitary
 from .errors import ConfigError, NotHermitian
 from .lattice import (
     LatticeSpec,
@@ -21,6 +19,7 @@ from .lattice import (
     sine_momentum_operator,
     target_A_from_hamiltonian,
 )
+from .matrix_core import is_finite_number
 from .sear import SearConfig
 from .user_recon import Observable, PureState
 
@@ -89,14 +88,14 @@ class ExperimentConfig:
             mass=r["mass"],
             spacing=r["spacing"],
             slope=r["slope"],
-            kinetic_mod=tuple(r["kinetic_mod"]),
+            kinetic_mod=r["kinetic_mod"],
         )
 
     @property
     def sear(self) -> SearConfig:
         r = self.raw
         return SearConfig(
-            lambdas=tuple(r["lambdas"]),
+            lambdas=r["lambdas"],
             perturbation=r["perturbation"],
             safety=r["safety"],
             seed=r["seed"],
@@ -106,21 +105,16 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """Hash of the resolved values that select what is computed, so that
         equal numbers (1 and 1.0) hash alike.  output_dir and emit select where
-        and what to write; drive_omega is read only by the simulable twirl set."""
+        and what to write; drive_omega and n_t only shape the simulable twirl set."""
         r = self.raw
         physics = {k: v for k, v in r.items() if k not in ("output_dir", "emit")}
         physics["schema"] = int(r["schema"])
         physics.update({key: float(r[key]) for key in REAL_KEYS})
         physics.update({key: [float(x) for x in r[key]] for key in ("lambdas", "kinetic_mod")})
         if r["twirl_mode"] == "haar":
-            del physics["drive_omega"]
+            del physics["drive_omega"], physics["n_t"]
         blob = json.dumps(physics, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _is_finite_number(x) -> bool:
-    # abs(x) <= max is False for nan, +-inf and ints beyond the float range
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def resolve_config(overrides: dict) -> ExperimentConfig:
@@ -146,11 +140,8 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
         if type(raw[key]) is not int:
             raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
     for key in REAL_KEYS:
-        if not _is_finite_number(raw[key]):
+        if not is_finite_number(raw[key]):
             raise ConfigError(f"{key} must be a finite number, got {raw[key]!r}")
-    for key in ("lambdas", "kinetic_mod"):
-        if not isinstance(raw[key], list) or not all(_is_finite_number(x) for x in raw[key]):
-            raise ConfigError(f"{key} must be a list of finite numbers, got {raw[key]!r}")
     if raw["n_t"] < 1:
         raise ConfigError(f"n_t must be positive, got {raw['n_t']}")
     if raw["n_sites"] > MAX_N_SITES:
@@ -160,7 +151,7 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
             f"n_t * n_sites^2 = {raw['n_t'] * raw['n_sites'] ** 2} twirl-set entries exceed {MAX_TWIRL_ENTRIES}"
         )
     cfg = ExperimentConfig(raw=raw)
-    try:  # their own range checks, reported as config errors
+    try:  # their own element and range checks, reported as config errors
         cfg.lattice, cfg.sear
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -171,13 +162,13 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
 class Experiment:
     """Everything `sear.run_sear` needs, resolved from one config: the rescaled
     target A (with the evolution time t_eff it stands for), probe, observable,
-    twirl set and ensemble settings."""
+    twirl set (None for the Haar measure) and ensemble settings."""
 
     target_A: np.ndarray
     t_eff: float
     psi: PureState
     O: Observable
-    twirl_set: list
+    twirl_set: list | None
     sear: SearConfig
 
     @classmethod
@@ -199,18 +190,15 @@ class Experiment:
             t_eff=r["evolution_time"] / rescale,
             psi=PureState(probe_state_vector(r["probe_state"], lattice)),
             O=O,
-            twirl_set=_twirl_set(r, lattice),
+            twirl_set=_simulable_twirl_set(r, lattice) if r["twirl_mode"] == "simulable" else None,
             sear=cfg.sear,
         )
 
 
-def _twirl_set(r: dict, lattice: LatticeSpec) -> list:
+def _simulable_twirl_set(r: dict, lattice: LatticeSpec) -> list:
+    """AQS evolutions on a seeded (gamma, t) grid: not a unitary 2-design, so the
+    noise strengths carry a set-dependent bias (epsilon.json records the mode)."""
     rng = np.random.default_rng(r["seed"] + 7919)
-    if r["twirl_mode"] == "haar":
-        return [haar_unitary(lattice.n_sites, rng) for _ in range(r["n_t"])]
-    # Simulable twirl set: AQS evolutions on a deterministic (gamma, t) grid.
-    # These are not a unitary 2-design, so the resulting noise strengths carry
-    # a set-dependent bias; the mode is recorded in the emitted metadata.
     fam = build_lattice_family(lattice)
     members = []
     for _ in range(r["n_t"]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aqs_magnus import HamiltonianFamily
-from .matrix_core import as_matrix, eig_hermitian
+from .matrix_core import as_matrix, eig_hermitian, finite_floats
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class LatticeSpec:
     kinetic_mod: tuple = (0.0, 0.0, 0.05)  # coefficients of (sin(p a)/a)^j
 
     def __post_init__(self):
-        object.__setattr__(self, "kinetic_mod", tuple(float(c) for c in self.kinetic_mod))
+        object.__setattr__(self, "kinetic_mod", finite_floats("kinetic_mod", self.kinetic_mod))
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         if self.mass <= 0 or self.spacing <= 0:

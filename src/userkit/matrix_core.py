@@ -10,6 +10,8 @@ exactly as they treat a single matrix.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,18 @@ class HermitianEig:
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
+
+
+def is_finite_number(x) -> bool:
+    """A finite int or float, not a bool (abs(x) <= max fails for nan, inf and huge ints)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def finite_floats(name: str, values) -> tuple:
+    """`values`, a list, tuple or 1-d array of finite numbers, as a tuple of floats."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(is_finite_number, values)):
+        raise ValueError(f"{name} must be a list of finite numbers, got {values!r}")
+    return tuple(float(x) for x in values)
 
 
 def _as_square(m, ndims: tuple[int, ...]) -> np.ndarray:

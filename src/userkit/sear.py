@@ -2,8 +2,8 @@
 
 Stage I/II: build an ensemble of approximate intermediate unitaries from
 designed discretization sequences and reconstruct each sample's expectation
-value by integer-power sampling.  Stage III: twirl the defect channel
-measured against each member over a unitary set to estimate a depolarizing
+value by integer-power sampling.  Stage III: twirl each member's defect channel
+(over the Haar measure in closed form, or an explicit set) into a depolarizing
 noise strength, and report mean value +/- (noise strength x observable spread).
 """
 
@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aqs_magnus import SequencePlan, approx_discretization_unitary, design_sequence
-from .channels import _unitary_members, sear_error_channel, twirl_discrete
-from .matrix_core import TOL_EIG, eig_hermitian, expm_hermitian_i
+from .channels import _unitary_members, sear_error_channel, twirl_analytic, twirl_discrete
+from .matrix_core import TOL_EIG, eig_hermitian, expm_hermitian_i, finite_floats
 from .user_recon import Observable, PureState, min_eigenvalue_gap, required_n_l, user_reconstruct
 
 
@@ -32,11 +32,10 @@ class SearConfig:
     n_s: int = 4
 
     def __post_init__(self):
-        lams = tuple(float(x) for x in self.lambdas)
-        object.__setattr__(self, "lambdas", lams)
-        if not lams:
+        object.__setattr__(self, "lambdas", finite_floats("lambdas", self.lambdas))
+        if not self.lambdas:
             raise ValueError("lambdas must be nonempty")
-        if any(not 0.0 < l < 0.5 for l in lams):
+        if any(not 0.0 < l < 0.5 for l in self.lambdas):
             raise ValueError("every lambda must lie in (0, 1/2)")
         for name, low in (("n_s", 1), ("safety", 1), ("seed", 0), ("perturbation", 0)):
             if getattr(self, name) < low:
@@ -82,19 +81,21 @@ def generate_approx_unitaries(
 
 def estimate_noise_strength(
     approx_list: Sequence[tuple[np.ndarray, np.ndarray, SequencePlan]],
-    twirl_set: Sequence[np.ndarray],
+    twirl_set: Optional[Sequence[np.ndarray]],
     psi: PureState,
     O: Observable,
 ) -> tuple[float, list[float]]:
-    """Per-k discrete twirl of the defect channel measured against member k,
-    sear_error_channel(U_k, [U_1 .. U_n]), then the mean.  The twirl set is
-    checked unitary once, not once per k."""
+    """Per-k twirl of the defect channel measured against member k,
+    sear_error_channel(U_k, [U_1 .. U_n]), then the mean.  twirl_set None is the
+    Haar measure, in closed form (no probe read); an explicit set is twirled on
+    the probe and checked unitary once, not once per k."""
     unitaries = [U_k for U_k, _, _ in approx_list]
-    members = _unitary_members(twirl_set)
-    per_k = [
-        twirl_discrete(sear_error_channel(U_k, unitaries), members, psi, O).epsilon
-        for U_k in unitaries
-    ]
+    channels = [sear_error_channel(U_k, unitaries) for U_k in unitaries]
+    if twirl_set is None:
+        per_k = [twirl_analytic(ch).epsilon for ch in channels]
+    else:
+        members = _unitary_members(twirl_set)
+        per_k = [twirl_discrete(ch, members, psi, O).epsilon for ch in channels]
     return float(np.mean(per_k)), per_k
 
 
@@ -102,7 +103,7 @@ def run_sear(
     target_A: np.ndarray,
     psi: PureState,
     O: Observable,
-    twirl_set: Sequence[np.ndarray],
+    twirl_set: Optional[Sequence[np.ndarray]],
     config: SearConfig,
 ) -> SearResult:
     # All members share one A, so its gap is taken once, and every grid is
@@ -116,9 +117,9 @@ def run_sear(
     ]
     mean_value = float(np.mean([value for value, _ in members]))
     spread = O.spread()
-    if spread <= TOL_EIG:
-        # Zero-spread observables (multiples of the identity) cannot resolve a
-        # noise strength, and do not need one: the error bar is zero anyway.
+    if twirl_set is not None and spread <= TOL_EIG:
+        # A probe cannot resolve a noise strength through a zero-spread observable
+        # (a multiple of the identity), and none is needed: the error bar is 0.
         noise_strength, per_k = 0.0, [0.0] * len(approx_list)
     else:
         noise_strength, per_k = estimate_noise_strength(approx_list, twirl_set, psi, O)

@@ -2,11 +2,13 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines on stdout.  Every expected value is either computed by the
-independent oracle module or asserted against a closed form.
+independent oracle module or asserted against a closed form.  A zero-slack
+coverage check follows the criteria.
 """
 
 import json
 import time
+from math import comb
 
 import numpy as np
 import pytest
@@ -238,3 +240,30 @@ def test_criterion_9_determinism(tmp_path):
         outs.append((out_dir / "result.json").read_bytes())
     ok = outs[0] == outs[1]
     _report(9, "determinism", ok, f"{len(outs[0])} bytes, identical={ok}")
+
+
+def test_zero_slack_coverage():
+    """The error bar alone, with no slack, covers the exact value on noisy-16.
+
+    The bar is held to criterion 8's rate, covering at least 80% of seeds.  The
+    threshold is the fewest hits that such a bar reaches with probability at
+    least 99% over n_seeds independent seeds (the binomial lower 1% tail), so
+    it follows from the seed count alone: 12 of 20.  A zeroed error bar covers
+    no seed.
+    """
+    n_seeds, rate, alpha = 20, 0.8, 0.01
+
+    def below(k):  # P(fewer than k hits) for a bar with coverage `rate`
+        return sum(comb(n_seeds, j) * rate**j * (1 - rate) ** (n_seeds - j) for j in range(k))
+
+    threshold = max(k for k in range(n_seeds + 1) if below(k) <= alpha)
+    hits, ratios = 0, []
+    for seed in range(n_seeds):
+        res = _run_preset("noisy-16", seed=seed)
+        err = abs(res.mean_value - res.exact_value)
+        hits += err <= res.error_bar
+        ratios.append(res.error_bar / err if err else np.inf)
+    ok = hits >= threshold
+    detail = f"coverage={hits}/{n_seeds} (threshold {threshold}) bar/err min={min(ratios):.2f} median={np.median(ratios):.2f}"
+    print(f"[{'PASS' if ok else 'FAIL'}] zero-slack coverage: {detail}")
+    assert ok, f"zero-slack coverage: {detail}"

@@ -162,6 +162,14 @@ class TestTwirlAnalytic:
         est = twirl_analytic(KrausChannel((np.eye(2, dtype=complex),)))
         assert est.epsilon == pytest.approx(0.0, abs=1e-14)
 
+    def test_rounding_above_unit_fidelity_clamped(self):
+        # (1 + 1e-10) I passes the trace-preservation check but has F_e > 1:
+        # the unclamped eps would be about -2e-10
+        for d in (2, 8):
+            ch = KrausChannel(((1.0 + 1e-10) * np.eye(d, dtype=complex),))
+            assert twirl_analytic(ch).epsilon == 0.0
+        assert twirl_analytic(KrausChannel((np.eye(4, dtype=complex),))).epsilon == 0.0
+
     def test_traceless_unitary(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         est = twirl_analytic(KrausChannel((X,)))

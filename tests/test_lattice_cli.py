@@ -40,11 +40,11 @@ def write_config(tmp_path, preset, **overrides):
     return path
 
 
-def zero_spread_config(tmp_path):
+def zero_spread_config(tmp_path, **overrides):
     """exact-small with the observable 2.5 * identity: spread(O) = 0."""
     obs = tmp_path / "scalar.mat"
     write_matrix_file(str(obs), 2.5 * np.eye(8))
-    return write_config(tmp_path, "exact-small", observable=f"file:{obs}")
+    return write_config(tmp_path, "exact-small", observable=f"file:{obs}", **overrides)
 
 
 class TestLattice:
@@ -67,6 +67,11 @@ class TestLattice:
         assert is_unitary(S)
         v = np.arange(5.0)
         assert np.allclose(S @ v, np.roll(v, 1))
+
+    @pytest.mark.parametrize("kinetic_mod", [("1", True), (0.0, True), "abc", 0.5, (float("inf"),)])
+    def test_kinetic_mod_must_be_finite_numbers(self, kinetic_mod):
+        with pytest.raises(ValueError, match="kinetic_mod"):
+            LatticeSpec(kinetic_mod=kinetic_mod)
 
     def test_target_reduces_to_kinetic(self):
         spec = LatticeSpec(n_sites=6, slope=0.0, kinetic_mod=())
@@ -155,8 +160,9 @@ class TestConfig:
             ({"schema": 2}, {"schema": 2.0}),
             ({"kinetic_mod": [0, 0, 1]}, {"kinetic_mod": [0.0, 0.0, 1.0]}),
             ({"drive_omega": 8.0}, {"drive_omega": 3.0}),
+            ({"n_t": 64}, {"n_t": 128}),
         ],
-        ids=["int_real_key", "float_schema", "int_kinetic_mod", "haar_drive_omega"],
+        ids=["int_real_key", "float_schema", "int_kinetic_mod", "haar_drive_omega", "haar_n_t"],
     )
     def test_config_hash_of_resolved_values(self, a, b):
         assert resolve_config(a).config_hash() == resolve_config(b).config_hash()
@@ -168,6 +174,7 @@ class TestConfig:
         assert digest(mass=1.0) != digest(mass=1.5)
         # the simulable twirl set is built at drive_omega
         assert digest(twirl_mode="simulable", drive_omega=8.0) != digest(twirl_mode="simulable", drive_omega=3.0)
+        assert digest(twirl_mode="simulable", n_t=64) != digest(twirl_mode="simulable", n_t=128)
 
     def test_matrix_file_roundtrip(self, tmp_path, rng):
         M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -350,10 +357,51 @@ class TestCli:
         assert all(word in diag["message"] for word in ("gap", "lambda", "safety"))
 
     def test_twirl_zero_spread_exit_3(self, tmp_path, capsys):
-        cfg_path = zero_spread_config(tmp_path)
+        # the discrete twirl reads the probe, which a zero-spread observable cannot resolve
+        cfg_path = zero_spread_config(tmp_path, twirl_mode="simulable")
         assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["error"] == "DegenerateDenominator"
+
+    def test_haar_epsilon_reads_no_probe_or_observable(self, tmp_path):
+        # The closed-form Haar twirl reads neither, so momentum-proxy runs too:
+        # every probe the config can express is real and gives <p> = Tr[p]/d,
+        # which no probe-based estimate can divide by.
+        docs = set()
+        for observable, probe in [
+            ("position", "basis:0"),
+            ("momentum-proxy", "basis:0"),
+            ("position", "gaussian:-3:1.5"),
+            ("momentum-proxy", "gaussian:2:2"),
+        ]:
+            cfg_path = write_config(tmp_path, "noisy-16", observable=observable, probe_state=probe)
+            out_dir = tmp_path / f"{observable}-{probe}"
+            assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+            docs.add((out_dir / "epsilon.json").read_bytes())
+            result = json.loads((out_dir / "result.json").read_text())
+            assert result["epsilon"] > 0.0
+        assert len(docs) == 1
+        data = json.loads(docs.pop())
+        assert (data["method"], data["n_t"]) == ("closed_form/haar", None)
+
+    def test_twirl_zero_spread_haar_matches_run(self, tmp_path):
+        cfg_path = zero_spread_config(tmp_path, perturbation=1e-2)
+        assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "twirl")]) == 0
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        doc = (tmp_path / "twirl" / "epsilon.json").read_bytes()
+        assert (tmp_path / "run" / "epsilon.json").read_bytes() == doc
+        assert min(json.loads(doc)["per_k"]) > 0.0
+        assert json.loads((tmp_path / "run" / "result.json").read_text())["error_bar"] == 0.0
+
+    def test_exact_small_epsilon_not_negative(self, tmp_path):
+        # without a defect every member's closed form is rounding; a negative
+        # one reads 0, so neither epsilon nor the error bar is negative
+        cfg_path = write_config(tmp_path, "exact-small")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        per_k = json.loads((tmp_path / "out" / "epsilon.json").read_text())["per_k"]
+        assert all(0.0 <= eps < 1e-14 for eps in per_k) and 0.0 in per_k
+        assert 0.0 <= result["epsilon"] < 1e-14 and result["error_bar"] >= 0.0
 
     def test_decompose(self, tmp_path, capsys):
         path = str(tmp_path / "u.txt")

@@ -28,6 +28,14 @@ def test_coverage_study_smoke():
     assert "coverage: 1/1" in out
 
 
+def test_coverage_study_zero_slack_smoke():
+    out = run_python(str(ROOT / "scripts" / "coverage_study.py"), "--zero-slack", "--seeds", "1")
+    rows = out.splitlines()[1:-1]
+    # one row per regime, each run (momentum-proxy included) covered or not, none failed
+    assert len(rows) == 7 and not any("failed" in row for row in rows)
+    assert rows[-1].split()[:3] == ["observable", "momentum-proxy", "1/1"]
+
+
 def test_magnus_slopes_smoke():
     out = run_python(str(ROOT / "scripts" / "magnus_slopes.py"), "--n-sites", "4", "--n-steps", "64")
     header, row = out.splitlines()

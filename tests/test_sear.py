@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from userkit.channels import haar_unitary
+from userkit.channels import haar_unitary, sear_error_channel, twirl_analytic
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
 from userkit.sear import SearConfig, estimate_noise_strength, generate_approx_unitaries, run_sear
 from userkit.user_recon import Observable, PureState, min_eigenvalue_gap, required_n_l, user_reconstruct
@@ -138,6 +138,50 @@ class TestEstimateNoiseStrength:
             assert eps_k == pytest.approx(est.epsilon, abs=1e-12)
             # small eps is dominated by the O(1/sqrt(n_t)) twirl fluctuation
             assert abs(eps_k - an.epsilon) <= 3.0 * est.stderr + 1e-10
+
+
+class TestSearConfig:
+    @pytest.mark.parametrize("lambdas", [("0.2", "0.1"), (0.25, True), 0.25, (0.25, float("nan")), (10**400,)])
+    def test_lambdas_must_be_finite_numbers(self, lambdas):
+        with pytest.raises(ValueError, match="lambdas"):
+            SearConfig(lambdas=lambdas)
+
+    def test_numpy_lambdas_accepted(self):
+        assert SearConfig(lambdas=np.array([0.25, 0.2])).lambdas == (0.25, 0.2)
+        assert SearConfig(lambdas=[np.float64(0.25), 0.2]).lambdas == (0.25, 0.2)
+
+
+class TestHaarNoiseStrength:
+    def test_is_the_closed_form_per_member(self, rng):
+        # twirl_set None is the Haar measure: per member, the closed-form twirl
+        # of the defect channel, whatever the probe and observable
+        A, psi, O = make_problem(rng)
+        cfg = SearConfig(lambdas=(0.25, 0.2, 0.13), perturbation=1e-2, seed=4)
+        approx = generate_approx_unitaries(A, cfg)
+        unitaries = [U for U, _, _ in approx]
+        mean_eps, per_k = estimate_noise_strength(approx, None, psi, O)
+        assert per_k == [twirl_analytic(sear_error_channel(U, unitaries)).epsilon for U in unitaries]
+        assert mean_eps == float(np.mean(per_k)) and min(per_k) > 0.0
+        other_psi, other_O = PureState(random_state(rng, 4)), Observable(random_hermitian(rng, 4))
+        assert estimate_noise_strength(approx, None, other_psi, other_O) == (mean_eps, per_k)
+
+    def test_non_unitary_member_raises(self, rng):
+        from userkit.errors import NotUnitary
+
+        A, psi, O = make_problem(rng)
+        approx = generate_approx_unitaries(A, SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4))
+        bad = [(1.1 * approx[0][0],) + approx[0][1:], approx[1]]
+        with pytest.raises(NotUnitary):
+            estimate_noise_strength(bad, None, psi, O)
+
+    def test_zero_spread_observable(self, rng):
+        # the closed form needs no probe, so a zero-spread run reports it (its error bar is 0)
+        A, psi, _ = make_problem(rng)
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=0)
+        res = run_sear(A, psi, Observable(np.eye(4)), None, cfg)
+        approx = generate_approx_unitaries(A, cfg)
+        assert res.noise_strength == estimate_noise_strength(approx, None, psi, Observable(np.eye(4)))[0] > 0.0
+        assert res.error_bar == 0.0
 
 
 class TestRunSear:
