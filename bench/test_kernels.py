@@ -4,7 +4,8 @@
 
 `sample_integer_powers` runs on the grid of the last ensemble member
 (lambda = 0.1, the longest grid) of the `noisy-16` preset at d=16 and of the
-same config at n_sites=128; the closed-form Haar twirl (`twirl_analytic` of
+same config at n_sites=128, and `sinc_reconstruct` interpolates the value at
+eta = 1 from that member's samples; the closed-form Haar twirl (`twirl_analytic` of
 `sear_error_channel`, what `twirl_mode: haar` computes per member) runs on the
 defect channel measured against the first member of `noisy-16` at d=16 and
 at n_sites=128; `twirl_discrete` runs on that channel at d=16 over the
@@ -23,9 +24,8 @@ from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evo
 from userkit.channels import sear_error_channel, twirl_analytic, twirl_discrete
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
-from userkit.matrix_core import eig_hermitian
-from userkit.sear import generate_approx_unitaries
-from userkit.user_recon import min_eigenvalue_gap, required_n_l, sample_integer_powers
+from userkit.sear import generate_approx_unitaries, run_sear
+from userkit.user_recon import required_n_l, sample_integer_powers, sinc_reconstruct
 
 
 def noisy_experiment(n_sites, **overrides):
@@ -35,18 +35,24 @@ def noisy_experiment(n_sites, **overrides):
 
 
 @pytest.fixture(scope="module", params=[16, 128], ids=["d16", "d128"])
-def sampling_inputs(request):
+def last_member(request):
+    """The inputs and the record of the last ensemble member of a run."""
     exp, approx = noisy_experiment(request.param)
-    _, U_sd, _ = approx[-1]
-    gap = min_eigenvalue_gap(eig_hermitian(exp.target_A))
-    n_l = required_n_l(gap, exp.sear.lambdas[-1], exp.sear.safety)
-    return exp.psi, exp.O, U_sd, n_l
+    res = run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
+    return exp, approx[-1][1], res.per_sample[-1]
 
 
-def test_sample_integer_powers(benchmark, sampling_inputs):
-    psi, O, U_sd, n_l = sampling_inputs
-    samples = benchmark(sample_integer_powers, psi, O, U_sd, n_l)
+def test_sample_integer_powers(benchmark, last_member):
+    exp, U_sd, rec = last_member
+    n_l = required_n_l(rec.lam, rec.delta)
+    samples = benchmark(sample_integer_powers, exp.psi, exp.O, U_sd, n_l)
     assert samples.shape == (2 * n_l + 1,)
+
+
+def test_sinc_reconstruct(benchmark, last_member):
+    _, _, rec = last_member
+    value = benchmark(sinc_reconstruct, rec.samples, rec.lam, 1.0, rec.delta)
+    assert value == rec.value
 
 
 @pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])

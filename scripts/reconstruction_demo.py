@@ -10,16 +10,16 @@ import argparse
 
 import numpy as np
 
-from userkit.matrix_core import eig_hermitian, expm_hermitian_i
+from userkit.matrix_core import expm_hermitian_i
 from userkit.oracle import exact_intermediate_expectation, mc_haar_unitary
-from userkit.user_recon import Observable, PureState, min_eigenvalue_gap, required_n_l, user_reconstruct
+from userkit.sear import band_slack
+from userkit.user_recon import Observable, PureState, kernel_window, required_n_l, user_reconstruct
 
 
 def main():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--lam", type=float, default=0.2)
-    p.add_argument("--safety", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
 
@@ -33,13 +33,13 @@ def main():
     G = rng.standard_normal((args.dim, args.dim)) + 1j * rng.standard_normal((args.dim, args.dim))
     O = Observable(0.5 * (G + G.conj().T))
 
-    gap = min_eigenvalue_gap(eig_hermitian(A))
-    n_l = required_n_l(gap, args.lam, args.safety)
+    # one pulse and no synthesis defect: U_sd = e^{i pi lam A} exactly
+    delta = band_slack(float(w[-1] - w[0]), args.lam, 1, 0.0)
     U_sd = expm_hermitian_i(A, np.pi * args.lam)
-    rec, _ = user_reconstruct(psi, O, U_sd, args.lam, n_l)
+    rec, _ = user_reconstruct(psi, O, U_sd, args.lam, delta)
     exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
 
-    print(f"dim={args.dim} lam={args.lam} gap={gap:.4f} n_l={n_l}")
+    print(f"dim={args.dim} lam={args.lam} delta={delta:.4f} m={kernel_window(delta):.1f} n_l={required_n_l(args.lam, delta)}")
     print(f"reconstructed: {rec:.12g}")
     print(f"exact:         {exact:.12g}")
     print(f"error:         {abs(rec - exact):.3e}")

@@ -23,7 +23,6 @@ from .user_recon import (
     SpectralUnitary,
     aliasing_rate,
     check_discretization,
-    min_eigenvalue_gap,
     multiplicative_expectation,
     phase_separation,
     required_n_l,
@@ -62,6 +61,7 @@ from .channels import (
 from .sear import (
     SearConfig,
     SearResult,
+    band_slack,
     estimate_noise_strength,
     generate_approx_unitaries,
     run_sear,

@@ -27,7 +27,7 @@ from .config import (
 )
 from .errors import ConfigError, UserKitError
 from .sear import estimate_noise_strength, generate_approx_unitaries, run_sear
-from .user_recon import aliasing_rate, phase_separation, sinc_reconstruct, spectral_decompose
+from .user_recon import ETA_MAX, aliasing_rate, phase_separation, sinc_reconstruct, spectral_decompose
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -73,8 +73,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if "reconstruction_csv" in emit:
         rec = res.per_sample[0]
         lines = ["eta,interpolated_value"]
-        for eta in np.linspace(0.0, 1.2, 121):
-            lines.append(f"{_fmt(eta * exp.t_eff)},{_fmt(sinc_reconstruct(rec.samples, rec.lam, eta))}")
+        for eta in np.linspace(0.0, ETA_MAX, 121):
+            lines.append(f"{_fmt(eta * exp.t_eff)},{_fmt(sinc_reconstruct(rec.samples, rec.lam, eta, rec.delta))}")
         atomic_write_text(os.path.join(out_dir, "reconstruction.csv"), "\n".join(lines) + "\n")
 
     if "epsilon_json" in emit:

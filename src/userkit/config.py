@@ -23,17 +23,17 @@ from .matrix_core import is_finite_number
 from .sear import SearConfig
 from .user_recon import Observable, PureState
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EMIT_KINDS = {"samples_csv", "reconstruction_csv", "epsilon_json", "result_json"}
 
 INT_KEYS = ("seed", "n_sites", "n_t", "n_s")
 # The dense substrate's size limit (see `matrix_core`): every model matrix is n_sites x n_sites.
 MAX_N_SITES = 256
-# Complex entries the twirl set (n_t matrices of n_sites^2, all built before
-# anything runs) may hold: 1 GiB, so n_t = 1024 at 256 sites.
+# Complex entries the simulable twirl set (n_t matrices of n_sites^2, all built
+# before anything runs) may hold: 1 GiB, so n_t = 1024 at 256 sites.
 MAX_TWIRL_ENTRIES = 1 << 26
-REAL_KEYS = ("mass", "spacing", "drive_omega", "slope", "evolution_time", "perturbation", "safety")
+REAL_KEYS = ("mass", "spacing", "drive_omega", "slope", "evolution_time", "perturbation")
 
 DEFAULTS = {
     "schema": SCHEMA_VERSION,
@@ -48,7 +48,6 @@ DEFAULTS = {
     "n_t": 64,
     "lambdas": [0.25, 0.2, 0.125, 0.1],
     "perturbation": 0.0,
-    "safety": 10.0,
     "n_s": 4,
     "probe_state": "basis:0",
     "observable": "position",
@@ -97,7 +96,6 @@ class ExperimentConfig:
         return SearConfig(
             lambdas=r["lambdas"],
             perturbation=r["perturbation"],
-            safety=r["safety"],
             seed=r["seed"],
             n_s=r["n_s"],
         )
@@ -146,7 +144,7 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"n_t must be positive, got {raw['n_t']}")
     if raw["n_sites"] > MAX_N_SITES:
         raise ConfigError(f"n_sites must be at most {MAX_N_SITES}, got {raw['n_sites']}")
-    if raw["n_t"] * raw["n_sites"] ** 2 > MAX_TWIRL_ENTRIES:
+    if raw["twirl_mode"] == "simulable" and raw["n_t"] * raw["n_sites"] ** 2 > MAX_TWIRL_ENTRIES:
         raise ConfigError(
             f"n_t * n_sites^2 = {raw['n_t'] * raw['n_sites'] ** 2} twirl-set entries exceed {MAX_TWIRL_ENTRIES}"
         )

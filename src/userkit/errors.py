@@ -25,10 +25,6 @@ class DegenerateSpectrum(UserKitError):
     """All eigenphases coincide; every power of the unitary is trivial."""
 
 
-class AllDegenerate(UserKitError):
-    """Every eigenvalue pair is within tolerance; the operator acts as a scalar."""
-
-
 class InvalidLambda(UserKitError):
     pass
 

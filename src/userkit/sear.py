@@ -18,7 +18,7 @@ import numpy as np
 from .aqs_magnus import SequencePlan, approx_discretization_unitary, design_sequence
 from .channels import _unitary_members, sear_error_channel, twirl_analytic, twirl_discrete
 from .matrix_core import TOL_EIG, eig_hermitian, expm_hermitian_i, finite_floats
-from .user_recon import Observable, PureState, min_eigenvalue_gap, required_n_l, user_reconstruct
+from .user_recon import Observable, PureState, user_reconstruct
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class SearConfig:
 
     lambdas: tuple = (0.25, 0.2, 0.125, 0.1)
     perturbation: float = 0.0
-    safety: float = 10.0
     seed: int = 0
     n_s: int = 4
 
@@ -37,17 +36,18 @@ class SearConfig:
             raise ValueError("lambdas must be nonempty")
         if any(not 0.0 < l < 0.5 for l in self.lambdas):
             raise ValueError("every lambda must lie in (0, 1/2)")
-        for name, low in (("n_s", 1), ("safety", 1), ("seed", 0), ("perturbation", 0)):
+        for name, low in (("n_s", 1), ("seed", 0), ("perturbation", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One ensemble member: its step, reconstructed value, noise strength, and
-    the integer-power sample grid (k = -n_l .. n_l) the value came from."""
+    """One ensemble member: its step, band slack, reconstructed value, noise
+    strength, and the integer-power sample grid (k = -n_l .. n_l) the value came from."""
 
     lam: float
+    delta: float
     value: float
     epsilon: float
     samples: np.ndarray
@@ -61,6 +61,14 @@ class SearResult:
     error_bar: float
     exact_value: Optional[float]
     per_sample: tuple
+
+
+def band_slack(spread_A: float, lam: float, n_s: int, perturbation: float) -> float:
+    """How far a bound on the phase spread of design_sequence's U_sd stays below
+    pi.  Each pulse e^{i M_xi} has spread(M_xi) <= pi lam spread(A) / n_s +
+    2 perturbation; Thompson's exponential formula with Weyl's inequality adds
+    these up over the n_s pulses."""
+    return pi * (1.0 - lam * spread_A) - 2.0 * n_s * perturbation
 
 
 def generate_approx_unitaries(
@@ -106,14 +114,12 @@ def run_sear(
     twirl_set: Optional[Sequence[np.ndarray]],
     config: SearConfig,
 ) -> SearResult:
-    # All members share one A, so its gap is taken once, and every grid is
-    # sized (and an oversized one refused) before any work is done.
-    gap = min_eigenvalue_gap(eig_hermitian(target_A))
-    n_ls = [required_n_l(gap, lam, config.safety) for lam in config.lambdas]
+    spread_A = float(np.ptp(eig_hermitian(target_A).values))
+    deltas = [band_slack(spread_A, lam, config.n_s, config.perturbation) for lam in config.lambdas]
     approx_list = generate_approx_unitaries(target_A, config)
     members = [
-        user_reconstruct(psi, O, U_sd, lam, n_l)
-        for (_, U_sd, _), lam, n_l in zip(approx_list, config.lambdas, n_ls)
+        user_reconstruct(psi, O, U_sd, lam, delta)
+        for (_, U_sd, _), lam, delta in zip(approx_list, config.lambdas, deltas)
     ]
     mean_value = float(np.mean([value for value, _ in members]))
     spread = O.spread()
@@ -132,8 +138,8 @@ def run_sear(
         v = U_i @ psi.amplitudes
         exact_value = float(np.real(v.conj() @ O.matrix @ v))
     per_sample = tuple(
-        SampleRecord(lam=lam, value=value, epsilon=eps, samples=samples)
-        for lam, (value, samples), eps in zip(config.lambdas, members, per_k)
+        SampleRecord(lam=lam, delta=delta, value=value, epsilon=eps, samples=samples)
+        for lam, delta, (value, samples), eps in zip(config.lambdas, deltas, members, per_k)
     )
     return SearResult(
         mean_value=mean_value,

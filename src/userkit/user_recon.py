@@ -12,12 +12,11 @@ spectral fractional powers exist only for oracles and diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, pi
+from math import ceil, log, pi
 
 import numpy as np
 
 from .errors import (
-    AllDegenerate,
     BadLength,
     DegenerateSpectrum,
     DimensionMismatch,
@@ -26,12 +25,16 @@ from .errors import (
     NotNormalized,
     NotUnitary,
 )
-from .matrix_core import TOL_EIG, HermitianEig, as_matrix, eig_hermitian, is_unitary
+from .matrix_core import HermitianEig, as_matrix, eig_hermitian, is_unitary
 
 # Vectors held at once by each power chain of sample_integer_powers.
 _SAMPLE_BLOCK = 256
 # Largest sample grid (2 n_l + 1 points) required_n_l allows: 128 MB of float64.
 MAX_GRID_SAMPLES = 1 << 24
+# Truncation error of the regularized sinc kernel, relative to the signal's size.
+RECON_TOL = 1e-14
+# reconstruction.csv interpolates eta in [0, ETA_MAX], so every grid covers it.
+ETA_MAX = 1.2
 
 
 @dataclass(frozen=True)
@@ -149,49 +152,43 @@ def check_discretization(su: SpectralUnitary, eta_d: float) -> bool:
     return eta_d * phase_separation(su) < pi
 
 
-def min_eigenvalue_gap(A_eig: HermitianEig) -> float:
-    """Minimum nonzero pairwise eigenvalue gap; clusters within TOL_EIG collapse."""
-    values = np.sort(np.asarray(A_eig.values, dtype=float))
-    diffs = np.diff(values)
-    nontrivial = diffs[diffs > TOL_EIG]
-    if nontrivial.size == 0:
-        raise AllDegenerate("all eigenvalues coincide within tolerance")
-    return float(np.min(nontrivial))
+def kernel_window(delta: float) -> float:
+    """Kernel half-width m = 2 ln(1/RECON_TOL) / delta, in samples.  With the
+    Gaussian width r = sqrt(m / delta) both exponentials of the regularized kernel's
+    error bound are exp(-m delta / 2) = RECON_TOL (L. Qian, Proc. AMS 131 (2003))."""
+    if not delta > 0:
+        raise GridTooLarge(f"band slack {delta:.6g} is not positive: the samples may alias")
+    return 2.0 * log(1.0 / RECON_TOL) / delta
 
 
-def required_n_l(gap: float, lam: float, safety: float) -> int:
-    """Grid half-width: ceil(safety * (2 + gap) / (lam * gap)).
+def required_n_l(lam: float, delta: float) -> int:
+    """Grid half-width ceil(ETA_MAX / lam + m), m the kernel window of `delta`.
 
-    The only rule for the grid size.  A grid of more than MAX_GRID_SAMPLES
-    samples is refused here, before anything is allocated for it."""
+    The only rule for the grid size.  `delta` is how far U_sd's phase spread
+    stays below pi.  A slack delta <= 0, or a grid of more than
+    MAX_GRID_SAMPLES samples, is refused here, before anything is allocated."""
     if not 0.0 < lam < 0.5:
         raise InvalidLambda(f"lambda must be in (0, 1/2), got {lam}")
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    if safety < 1:
-        raise ValueError("safety must be >= 1")
-    half_width = safety * (2.0 + gap) / (lam * gap)
+    half_width = ETA_MAX / lam + kernel_window(delta)
     # ceil(x) <= m iff x <= m for an integer m; also False for an infinite x
     if not half_width <= (MAX_GRID_SAMPLES - 1) // 2:
-        raise GridTooLarge(
-            f"gap {gap:.6g}, lambda {lam}, safety {safety:.6g} need a grid of more "
-            f"than {MAX_GRID_SAMPLES} samples"
-        )
+        raise GridTooLarge(f"lambda {lam} and band slack {delta:.6g} need more than {MAX_GRID_SAMPLES} samples")
     return int(ceil(half_width))
 
 
-def sinc_reconstruct(samples, lam: float, eta: float) -> float:
-    """Whittaker-Shannon interpolation of the value at `eta` from a symmetric grid.
+def sinc_reconstruct(samples, lam: float, eta: float, delta: float) -> float:
+    """Regularized Whittaker-Shannon interpolation of the value at `eta`.
 
     samples[j] holds the value at eta = k * lam with k = j - n_l running over
-    -n_l .. n_l; returns sum_k samples[k] * sinc((eta - k*lam)/lam).
+    -n_l .. n_l.  With x = eta / lam and m = kernel_window(delta), returns
+    sum_k samples[k] * sinc(x - k) * exp(-(x - k)^2 / (2 r^2)), r = sqrt(m / delta).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size % 2 != 1 or samples.size < 3:
         raise BadLength(f"need an odd-length grid of >= 3 samples, got {samples.size}")
     n_l = samples.size // 2
-    k = np.arange(-n_l, n_l + 1)
-    weights = np.sinc((eta - k * lam) / lam)
+    u = eta / lam - np.arange(-n_l, n_l + 1)
+    weights = np.sinc(u) * np.exp(-0.5 * (delta / kernel_window(delta)) * u * u)
     return float(np.dot(samples, weights))
 
 
@@ -241,11 +238,12 @@ def sample_integer_powers(psi: PureState, O: Observable, U_sd: np.ndarray, n_l: 
 
 
 def user_reconstruct(
-    psi: PureState, O: Observable, U_sd: np.ndarray, lam: float, n_l: int
+    psi: PureState, O: Observable, U_sd: np.ndarray, lam: float, delta: float
 ) -> tuple[float, np.ndarray]:
-    """Full reconstruction: sample integer powers k = -n_l .. n_l of U_sd, then
-    sinc-interpolate the value at eta = 1.  Returns the value and the samples."""
+    """Sample the integer powers k = -n_l .. n_l of U_sd, n_l = required_n_l(lam,
+    delta), and interpolate eta = 1 with the same slack's kernel: (value, samples)."""
+    n_l = required_n_l(lam, delta)
     if not is_unitary(U_sd):
         raise NotUnitary("discretization unitary is not unitary within tolerance")
     samples = sample_integer_powers(psi, O, U_sd, n_l)
-    return sinc_reconstruct(samples, lam, 1.0), samples
+    return sinc_reconstruct(samples, lam, 1.0, delta), samples

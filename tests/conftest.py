@@ -32,6 +32,12 @@ def random_target_A(rng, d, min_gap=0.1):
     return (V * w) @ V.conj().T
 
 
+def no_defect_slack(A, lam):
+    """Band slack of U_sd = e^{i pi lam A}: pi (1 - lam spread(A))."""
+    w = np.linalg.eigvalsh(A)
+    return np.pi * (1.0 - lam * (w[-1] - w[0]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state, random_target_A
+from conftest import no_defect_slack, random_hermitian, random_state, random_target_A
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
 from userkit.channels import (
@@ -29,14 +29,12 @@ from userkit.channels import (
 from userkit.cli import main
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import LatticeSpec, build_lattice_family
-from userkit.matrix_core import eig_hermitian, expm_hermitian_i
+from userkit.matrix_core import expm_hermitian_i
 from userkit.oracle import exact_intermediate_expectation, mc_haar_unitary
 from userkit.sear import SearConfig, run_sear
 from userkit.user_recon import (
     Observable,
     PureState,
-    min_eigenvalue_gap,
-    required_n_l,
     sample_integer_powers,
     sinc_reconstruct,
     user_reconstruct,
@@ -61,16 +59,15 @@ def test_criterion_1_reconstruction_exactness():
     """100 random instances, d in {2,4,8}: reconstruction vs the spectral oracle."""
     t0 = time.time()
     rng = np.random.default_rng(101)
-    lam, safety = 0.2, 10.0
+    lam = 0.2
     errors = []
     for i in range(100):
         d = (2, 4, 8)[i % 3]
         A = random_target_A(rng, d, min_gap=0.1)
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
-        gap = min_eigenvalue_gap(eig_hermitian(A))
         U_sd = expm_hermitian_i(A, np.pi * lam)
-        rec, _ = user_reconstruct(psi, O, U_sd, lam, required_n_l(gap, lam, safety))
+        rec, _ = user_reconstruct(psi, O, U_sd, lam, no_defect_slack(A, lam))
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         errors.append(abs(rec - exact))
     errors = np.asarray(errors)
@@ -106,7 +103,10 @@ def test_criterion_2_aliasing_violation_detected():
         lam = rng.uniform(0.6, 0.8)  # deliberately outside (0, 1/2)
         U_sd = expm_hermitian_i(A, np.pi * lam)
         samples = sample_integer_powers(psi, O, U_sd, 301)
-        rec = sinc_reconstruct(samples, lam, 1.0)
+        # The grid rule refuses these steps (their band slack pi (1 - 2 w lam) is
+        # negative), so the kernel is drawn at slack 1; every slack from 0.1 to pi
+        # corrupts the same draws.
+        rec = sinc_reconstruct(samples, lam, 1.0, 1.0)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         if abs(rec - exact) > 0.1 * O.spread():
             violations += 1

@@ -132,12 +132,17 @@ class TestConfig:
             resolve_config({"n_sites": 257})
 
     def test_twirl_set_limit(self):
-        # resolve_config builds nothing, so neither call builds a twirl set
-        assert resolve_config({"n_sites": 256, "n_t": 1024}).raw["n_t"] == 1024
+        # resolve_config builds nothing, so no call here builds a twirl set; the
+        # limit holds only where one is built, in simulable mode
+        sim = {"twirl_mode": "simulable"}
+        assert resolve_config({**sim, "n_sites": 256, "n_t": 1024}).raw["n_t"] == 1024
         with pytest.raises(ConfigError, match="n_t"):
-            resolve_config({"n_sites": 256, "n_t": 1025})
+            resolve_config({**sim, "n_sites": 256, "n_t": 1025})
         with pytest.raises(ConfigError, match="n_t"):
-            resolve_config({"n_sites": 8, "n_t": 10**9})
+            resolve_config({**sim, "n_sites": 8, "n_t": 10**9})
+        assert resolve_config({"n_t": 10**9}).raw["n_t"] == 10**9
+        with pytest.raises(ConfigError, match="n_t"):
+            resolve_config({"n_t": 0})
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -157,7 +162,7 @@ class TestConfig:
         "a, b",
         [
             ({"mass": 1}, {"mass": 1.0}),
-            ({"schema": 2}, {"schema": 2.0}),
+            ({"schema": SCHEMA_VERSION}, {"schema": float(SCHEMA_VERSION)}),
             ({"kinetic_mod": [0, 0, 1]}, {"kinetic_mod": [0.0, 0.0, 1.0]}),
             ({"drive_omega": 8.0}, {"drive_omega": 3.0}),
             ({"n_t": 64}, {"n_t": 128}),
@@ -249,7 +254,7 @@ class TestCli:
             ({"probe_state": "basis:x"}, "probe_state"),
             ({"n_sites": "8"}, "n_sites"),
             ({"n_s": 0}, "n_s"),
-            ({"safety": 0.5}, "safety"),
+            ({"safety": 10.0}, "safety"),
             ({"seed": -1}, "seed"),
             ({"emit": 5}, "emit"),
             ({"output_dir": 5}, "output_dir"),
@@ -277,7 +282,7 @@ class TestCli:
             "probe_basis_not_int",
             "n_sites_string",
             "n_s_zero",
-            "safety_below_1",
+            "safety_removed",
             "seed_negative",
             "emit_not_list",
             "output_dir_not_string",
@@ -319,6 +324,14 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert f"unsupported schema version 1 (expected {SCHEMA_VERSION})" in capsys.readouterr().err
 
+    def test_schema_2_file_exit_2(self, tmp_path, capsys):
+        # a preset file as schema 2 wrote it: it also carries the key safety
+        old = dict(preset_config("noisy-16").raw, schema=2, safety=10.0)
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(old))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"unsupported schema version 2 (expected {SCHEMA_VERSION})" in capsys.readouterr().err
+
     def test_ensemble_size_is_len_lambdas(self, tmp_path):
         cfg_path = write_config(tmp_path, "exact-small", lambdas=[0.25, 0.2, 0.125])
         out_dir = tmp_path / "out"
@@ -348,13 +361,41 @@ class TestCli:
             res.exact_value,
         )
 
-    @pytest.mark.parametrize("safety", [1e15, 1e300])
-    def test_oversized_grid_exit_3(self, tmp_path, capsys, safety):
-        cfg_path = write_config(tmp_path, "exact-small", safety=safety)
+    @pytest.mark.parametrize(
+        "overrides, words",
+        [
+            ({"lambdas": [1e-9]}, ("lambda", "band slack")),
+            # band slack pi (1 - 0.45 spread(A)) - 2 * 4 * 0.3 < 0: U_sd's phases may alias
+            ({"n_sites": 16, "lambdas": [0.45], "perturbation": 0.3}, ("band slack", "alias")),
+        ],
+        ids=["tiny_lambda", "no_band_slack"],
+    )
+    def test_oversized_grid_exit_3(self, tmp_path, capsys, overrides, words):
+        cfg_path = write_config(tmp_path, "exact-small", **overrides)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["error"] == "GridTooLarge"
-        assert all(word in diag["message"] for word in ("gap", "lambda", "safety"))
+        assert all(word in diag["message"] for word in words)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_off_grid_lambdas_exact(self, tmp_path, seed):
+        # no synthesis defect and 1/lambda off the integers: the value at eta = 1
+        # is interpolated, and reconstruction.csv redraws it with the same kernel
+        cfg_path = write_config(
+            tmp_path,
+            "exact-small",
+            n_sites=16,
+            lambdas=[0.13, 0.23, 0.3, 0.45],
+            seed=seed,
+            emit=["result_json", "reconstruction_csv"],
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+        result = json.loads((out_dir / "result.json").read_text())
+        assert abs(result["mean"] - result["exact"]) <= 1e-12 * result["spread"]
+        rows = (out_dir / "reconstruction.csv").read_text().splitlines()[1:]
+        value_at_1 = float(rows[100].split(",")[1])  # eta = 100 * 1.2 / 120
+        assert value_at_1 == pytest.approx(run_library(cfg_path).per_sample[0].value, abs=1e-12 * result["spread"])
 
     def test_twirl_zero_spread_exit_3(self, tmp_path, capsys):
         # the discrete twirl reads the probe, which a zero-spread observable cannot resolve

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from userkit.aqs_magnus import approx_discretization_unitary, design_sequence
 from userkit.channels import haar_unitary, sear_error_channel, twirl_analytic
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
-from userkit.sear import SearConfig, estimate_noise_strength, generate_approx_unitaries, run_sear
-from userkit.user_recon import Observable, PureState, min_eigenvalue_gap, required_n_l, user_reconstruct
+from userkit.sear import SearConfig, band_slack, estimate_noise_strength, generate_approx_unitaries, run_sear
+from userkit.user_recon import Observable, PureState, required_n_l, user_reconstruct
 from conftest import random_hermitian, random_state, random_target_A
 
 
@@ -20,11 +21,23 @@ def haar_twirl_set(d, n, seed):
     return [haar_unitary(d, rng) for _ in range(n)]
 
 
-def mean_reconstruction(A, psi, O, approx, lambdas, safety):
-    """Mean of the members' reconstructed values; member k is sampled at lambdas[k]."""
-    gap = min_eigenvalue_gap(eig_hermitian(A))
+def spread_of(A):
+    w = eig_hermitian(A).values
+    return float(w[-1] - w[0])
+
+
+def circular_phase_spread(U):
+    """Length of the shortest arc of the unit circle holding every eigenvalue of U."""
+    phases = np.sort(np.angle(np.linalg.eigvals(U)))
+    gaps = np.append(np.diff(phases), phases[0] + 2 * np.pi - phases[-1])
+    return 2 * np.pi - float(np.max(gaps))
+
+
+def mean_reconstruction(A, psi, O, approx, lambdas, cfg):
+    """Mean of the members' reconstructed values; member k is sampled at lambdas[k]
+    with the band slack of cfg's pulses."""
     values = [
-        user_reconstruct(psi, O, U_sd, lam, required_n_l(gap, lam, safety))[0]
+        user_reconstruct(psi, O, U_sd, lam, band_slack(spread_of(A), lam, cfg.n_s, cfg.perturbation))[0]
         for (_, U_sd, _), lam in zip(approx, lambdas)
     ]
     return float(np.mean(values)), values
@@ -61,7 +74,7 @@ class TestMeanApproxExpectation:
         O = Observable(np.eye(4))
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
-        mean, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg.safety)
+        mean, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg)
         assert mean == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_mode_matches_oracle(self, rng):
@@ -70,7 +83,7 @@ class TestMeanApproxExpectation:
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
-        mean, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg.safety)
+        mean, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg)
         exact = exact_intermediate_expectation(psi.amplitudes, O.matrix, A)
         assert mean == pytest.approx(exact, abs=1e-3)
 
@@ -78,14 +91,14 @@ class TestMeanApproxExpectation:
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.2,), perturbation=1e-2, seed=2)
         approx = generate_approx_unitaries(A, cfg)
-        mean, values = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg.safety)
+        mean, values = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg)
         assert mean == values[0]
 
     def test_direct_eval_ablation_close_to_reconstruction(self, rng):
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=0.0, seed=0)
         approx = generate_approx_unitaries(A, cfg)
-        mean_r, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg.safety)
+        mean_r, _ = mean_reconstruction(A, psi, O, approx, cfg.lambdas, cfg)
         direct = []
         for U_k, _, _ in approx:
             v = U_k @ psi.amplitudes
@@ -201,21 +214,33 @@ class TestRunSear:
         assert res.error_bar == pytest.approx(0.0, abs=1e-12)
 
     def test_members_are_user_reconstruct(self, rng):
-        # run_sear reconstructs each member with user_reconstruct, on the grid required_n_l sizes
+        # run_sear reconstructs each member with user_reconstruct, at the band
+        # slack of its pulses, on the grid required_n_l sizes from that slack
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.13, 0.3), perturbation=1e-2, seed=2)
         res = run_sear(A, psi, O, haar_twirl_set(4, 20, 2), cfg)
-        gap = min_eigenvalue_gap(eig_hermitian(A))
         for rec, (_, U_sd, _) in zip(res.per_sample, generate_approx_unitaries(A, cfg)):
-            value, samples = user_reconstruct(psi, O, U_sd, rec.lam, required_n_l(gap, rec.lam, cfg.safety))
+            assert rec.delta == band_slack(spread_of(A), rec.lam, cfg.n_s, cfg.perturbation)
+            value, samples = user_reconstruct(psi, O, U_sd, rec.lam, rec.delta)
             assert rec.value == value
             assert np.array_equal(rec.samples, samples)
+            assert samples.size == 2 * required_n_l(rec.lam, rec.delta) + 1
 
     def test_error_bar_identity(self, rng):
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=1)
         res = run_sear(A, psi, O, haar_twirl_set(4, 30, 2), cfg)
         assert res.error_bar == res.noise_strength * res.spread
+
+    def test_scalar_target_runs(self, rng):
+        # A proportional to the identity has no eigenvalue gap; U_sd only shifts a
+        # global phase, so every member reads <psi|O|psi>
+        _, psi, O = make_problem(rng)
+        cfg = SearConfig(lambdas=(0.25, 0.13), perturbation=0.0, seed=0)
+        res = run_sear(0.5 * np.eye(4, dtype=complex), psi, O, None, cfg)
+        direct = float(np.real(psi.amplitudes.conj() @ O.matrix @ psi.amplitudes))
+        assert abs(res.mean_value - direct) <= 1e-12 * res.spread
+        assert res.exact_value == pytest.approx(direct, abs=1e-12 * res.spread)
 
     def test_exact_mode_per_sample_collapse(self, rng):
         A, psi, O = make_problem(rng)
@@ -229,9 +254,9 @@ class TestRunSear:
         twirl = haar_twirl_set(4, 30, 2)
         cfg1 = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=6)
         approx = generate_approx_unitaries(A, cfg1)
-        m1, _ = mean_reconstruction(A, psi, O, approx, cfg1.lambdas, cfg1.safety)
+        m1, _ = mean_reconstruction(A, psi, O, approx, cfg1.lambdas, cfg1)
         e1, _ = estimate_noise_strength(approx, twirl, psi, O)
-        m2, _ = mean_reconstruction(A, psi, O, approx[::-1], cfg1.lambdas[::-1], cfg1.safety)
+        m2, _ = mean_reconstruction(A, psi, O, approx[::-1], cfg1.lambdas[::-1], cfg1)
         e2, _ = estimate_noise_strength(approx[::-1], twirl, psi, O)
         assert abs(m1 - m2) < 1e-12
         assert abs(e1 - e2) < 1e-12
@@ -251,3 +276,23 @@ class TestRunSear:
                 eps.append(e)
             medians.append(np.median(eps))
         assert all(b >= a - 1e-9 for a, b in zip(medians, medians[1:]))
+
+
+class TestBandSlack:
+    @pytest.mark.parametrize("n_s", [1, 4])
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-2, 1e-1])
+    def test_bounds_phase_spread_of_designed_unitary(self, perturbation, n_s):
+        # pi - band_slack bounds the circular phase spread of design_sequence's
+        # U_sd, and is that spread at zero perturbation
+        rng = np.random.default_rng(1200 + n_s)
+        for seed in range(12):
+            d = (2, 4, 8, 16)[seed % 4]
+            H = random_hermitian(rng, d)
+            A = H / np.max(np.abs(np.linalg.eigvalsh(H)))  # spectral radius 1
+            lam = float(rng.uniform(0.05, 0.45))
+            U_sd = approx_discretization_unitary(design_sequence(A, lam, perturbation, seed=seed, n_s=n_s))
+            bound = np.pi - band_slack(spread_of(A), lam, n_s, perturbation)
+            assert bound == pytest.approx(np.pi * lam * spread_of(A) + 2 * n_s * perturbation, abs=1e-15)
+            assert circular_phase_spread(U_sd) <= bound + 1e-12
+            if perturbation == 0.0:
+                assert circular_phase_spread(U_sd) >= bound - 1e-12
