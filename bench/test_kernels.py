@@ -14,16 +14,20 @@ at n_sites=128; `twirl_discrete` runs on that channel at d=16 over the
 (`twirl_mode: simulable`, 128 slices) of `noisy-16` at d=16 and at
 n_sites=128; `magnus_truncated` forms the order-2 Magnus operator of the
 lattice family at the same drive, on the 128-step grid the drive-fit designer
-uses, at d=16 and at n_sites=128.  `bench/` is outside the test suite's
+uses, at d=16 and at n_sites=128; `eig_hermitian` decomposes the first block of
+slices that `time_ordered_evolve` exponentiates at once on that grid: a stack of
+16 at d=16 and one matrix at n_sites=128.  `bench/` is outside the test suite's
 `testpaths`, so a plain `pytest` run skips it.
 """
 
+import numpy as np
 import pytest
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
 from userkit.channels import sear_error_channel, twirl_analytic, twirl_discrete
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
+from userkit.matrix_core import eig_hermitian
 from userkit.sear import generate_approx_unitaries, run_sear
 from userkit.user_recon import required_n_l, sample_integer_powers, sinc_reconstruct
 
@@ -87,3 +91,14 @@ def test_magnus_truncated(benchmark, n_sites):
     fam = build_lattice_family(cfg.lattice)
     M = benchmark(magnus_truncated, fam, cfg.raw["drive_omega"], 0.65, 2, 128)
     assert M.shape == (n_sites, n_sites)
+
+
+@pytest.mark.parametrize("n_sites, n_slices", [(16, 16), (128, 1)], ids=["d16_stack16", "d128"])
+def test_eig_hermitian(benchmark, n_sites, n_slices):
+    cfg = resolve_config(dict(preset_config("noisy-16").raw, n_sites=n_sites))
+    fam = build_lattice_family(cfg.lattice)
+    t = (np.arange(n_slices) + 0.5) * 0.65 / 128  # midpoints of the 128-step grid above
+    H = fam.K + np.sin(cfg.raw["drive_omega"] * t)[:, None, None] * fam.V
+    H = H if n_slices > 1 else H[0]
+    eig = benchmark(eig_hermitian, H)
+    assert eig.vectors.shape == H.shape

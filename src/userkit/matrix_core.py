@@ -20,7 +20,7 @@ from .errors import NotHermitian
 
 
 # Largest Hermiticity defect accepted, and the cutoff below which eigenvalue
-# differences and eigenvector components count as zero.
+# differences count as zero.
 TOL_EIG = 1e-10
 # Largest entry of |U U^dag - I| accepted as unitary.
 TOL_UNITARY = 1e-9
@@ -29,7 +29,9 @@ TOL_UNITARY = 1e-9
 @dataclass(frozen=True)
 class HermitianEig:
     """Eigendecomposition of a Hermitian matrix (or a stack of them), eigenvalues
-    ascending; `vectors[..., :, j]` belongs to `values[..., j]`."""
+    ascending; `vectors[..., :, j]` belongs to `values[..., j]`.  Column phases
+    are whatever LAPACK returns: use the vectors only through quantities that
+    do not depend on them, such as V f(w) V^dag or |V^dag x|^2."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -75,27 +77,13 @@ def is_unitary(U: np.ndarray) -> bool:
     return float(np.max(np.abs(U @ U.conj().T - np.eye(d)))) <= TOL_UNITARY
 
 
-def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above TOL_EIG is real positive.
-
-    A column with no component above TOL_EIG is rotated by its first
-    component; a column whose pivot is zero is left as it is."""
-    idx = np.argmax(np.abs(V) > TOL_EIG, axis=-2)
-    pivot = np.take_along_axis(V, idx[..., None, :], axis=-2)
-    mag = np.abs(pivot)
-    factor = np.divide(mag, pivot, out=np.ones_like(pivot), where=mag > 0)
-    return V * factor
-
-
 def eig_hermitian(H: np.ndarray) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix, or an (n, d, d) stack of them, with
-    deterministic eigenvector phases."""
+    """Eigendecompose a Hermitian matrix, or an (n, d, d) stack of them."""
     H = _as_square(H, (2, 3))
     defect = hermiticity_defect(H)
     if defect > TOL_EIG:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} > {TOL_EIG:.3e}")
     w, V = np.linalg.eigh(0.5 * (H + H.swapaxes(-1, -2).conj()))
-    V = _fix_phases(V)
     return HermitianEig(values=w, vectors=V)
 
 

@@ -6,22 +6,11 @@ package must never import this module (tests import both and compare).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
 from .errors import SpectrumOutOfRange
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    quantity: str
-    main_value: float
-    oracle_value: float
-    abs_err: float
-    tolerance: float
-    passed: bool
 
 
 def exact_intermediate_expectation(psi, O, A) -> float:
@@ -44,15 +33,3 @@ def mc_haar_unitary(dim: int, seed: int) -> np.ndarray:
     Q, R = np.linalg.qr(Z)
     diag = np.diag(R)
     return Q * (diag / np.abs(diag))
-
-
-def compare(quantity: str, main: float, oracle_value: float, tolerance: float) -> OracleReport:
-    abs_err = abs(main - oracle_value)
-    return OracleReport(
-        quantity=quantity,
-        main_value=main,
-        oracle_value=oracle_value,
-        abs_err=abs_err,
-        tolerance=tolerance,
-        passed=abs_err <= tolerance,
-    )

@@ -96,7 +96,11 @@ def estimate_noise_strength(
     """Per-k twirl of the defect channel measured against member k,
     sear_error_channel(U_k, [U_1 .. U_n]), then the mean.  twirl_set None is the
     Haar measure, in closed form (no probe read); an explicit set is twirled on
-    the probe and checked unitary once, not once per k."""
+    the probe and checked unitary once, not once per k.  With an explicit set and
+    a zero-spread observable (a multiple of the identity) no probe can resolve a
+    noise strength, and none is needed: every per_k is 0."""
+    if twirl_set is not None and O.spread() <= TOL_EIG:
+        return 0.0, [0.0] * len(approx_list)
     unitaries = [U_k for U_k, _, _ in approx_list]
     channels = [sear_error_channel(U_k, unitaries) for U_k in unitaries]
     if twirl_set is None:
@@ -123,12 +127,7 @@ def run_sear(
     ]
     mean_value = float(np.mean([value for value, _ in members]))
     spread = O.spread()
-    if twirl_set is not None and spread <= TOL_EIG:
-        # A probe cannot resolve a noise strength through a zero-spread observable
-        # (a multiple of the identity), and none is needed: the error bar is 0.
-        noise_strength, per_k = 0.0, [0.0] * len(approx_list)
-    else:
-        noise_strength, per_k = estimate_noise_strength(approx_list, twirl_set, psi, O)
+    noise_strength, per_k = estimate_noise_strength(approx_list, twirl_set, psi, O)
     error_bar = noise_strength * spread
     exact_value = None
     if target_A.shape[0] <= 64:

@@ -116,7 +116,12 @@ def spectral_decompose(U) -> SpectralUnitary:
 
 
 def phase_separation(su: SpectralUnitary) -> float:
-    """Max pairwise eigenphase difference, in [0, 2*pi]."""
+    """Max pairwise eigenphase difference, in [0, 2*pi].
+
+    This is the frequency spread of the principal-branch family U^eta, not the
+    circular spread of the eigenvalues: diag(e^{i(pi - 0.01)}, e^{-i(pi - 0.01)})
+    gives 2 pi - 0.02, because U^eta rotates its two phases in opposite
+    directions.  The circular spread 0.02 belongs to another branch."""
     return float(np.max(su.phases) - np.min(su.phases))
 
 
@@ -145,11 +150,6 @@ def aliasing_rate(su: SpectralUnitary) -> float:
     if P <= 0.0:
         raise DegenerateSpectrum("zero phase separation; every power is trivial")
     return pi / P
-
-
-def check_discretization(su: SpectralUnitary, eta_d: float) -> bool:
-    """True iff a step eta_d samples faster than the aliasing rate (eta_d * P < pi)."""
-    return eta_d * phase_separation(su) < pi
 
 
 def kernel_window(delta: float) -> float:

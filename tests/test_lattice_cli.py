@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -157,6 +159,26 @@ class TestConfig:
             Experiment.from_config(resolve_config({key: value}))
         except ConfigError:
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(["run", "twirl"]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
+    def test_main_exits_with_a_code(self, data, command):
+        # Any one or two keys through the CLI: an exit code, never an exception.
+        keys = data.draw(st.lists(st.sampled_from(sorted(KNOWN_KEYS)), min_size=1, max_size=2, unique=True))
+        words = st.sampled_from(
+            ["basis:x", "basis:3", "gaussian:0:1e-300", "gaussian:2:2", "file:/nonexistent", "momentum-proxy", "simulable"]
+        )
+        cfg = {}
+        for key in keys:
+            ints = st.integers(max_value=8) if key in ("n_sites", "n_t", "n_s") else st.integers()
+            scalar = st.one_of(ints, st.floats(), st.text(max_size=12), st.none(), st.booleans(), words)
+            cfg[key] = data.draw(st.one_of(scalar, st.lists(scalar, max_size=5)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as f:
+                json.dump(cfg, f)
+            assert main([command, path, "--out", os.path.join(tmp, "out")]) in (0, 2, 3)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -397,12 +419,16 @@ class TestCli:
         value_at_1 = float(rows[100].split(",")[1])  # eta = 100 * 1.2 / 120
         assert value_at_1 == pytest.approx(run_library(cfg_path).per_sample[0].value, abs=1e-12 * result["spread"])
 
-    def test_twirl_zero_spread_exit_3(self, tmp_path, capsys):
-        # the discrete twirl reads the probe, which a zero-spread observable cannot resolve
-        cfg_path = zero_spread_config(tmp_path, twirl_mode="simulable")
-        assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
-        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert diag["error"] == "DegenerateDenominator"
+    def test_twirl_zero_spread_simulable_matches_run(self, tmp_path):
+        # no probe resolves a noise strength through a zero-spread observable, and
+        # none is needed: twirl and run both report every per_k as 0
+        cfg_path = zero_spread_config(tmp_path, perturbation=1e-2, twirl_mode="simulable", n_t=16)
+        assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "twirl")]) == 0
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        doc = (tmp_path / "twirl" / "epsilon.json").read_bytes()
+        assert (tmp_path / "run" / "epsilon.json").read_bytes() == doc
+        assert json.loads(doc)["per_k"] == [0.0] * 4
+        assert json.loads((tmp_path / "run" / "result.json").read_text())["error_bar"] == 0.0
 
     def test_haar_epsilon_reads_no_probe_or_observable(self, tmp_path):
         # The closed-form Haar twirl reads neither, so momentum-proxy runs too:

@@ -4,8 +4,6 @@ import scipy.linalg
 
 from userkit.errors import NotHermitian
 from userkit.matrix_core import (
-    TOL_EIG,
-    _fix_phases,
     as_matrix,
     eig_hermitian,
     expm_hermitian_i,
@@ -68,51 +66,6 @@ def test_is_unitary_qr_gaussian(rng):
     Q, _ = np.linalg.qr(Z)
     assert is_unitary(Q)
     assert is_unitary(expm_hermitian_i(random_hermitian(rng, 5), 2.3))
-
-
-def fix_phases_loop(V):
-    """Reference: the column-by-column phase fix of one matrix."""
-    V = V.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        idx = np.argmax(np.abs(col) > TOL_EIG)
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            V[:, j] = col * (np.abs(pivot) / pivot)
-    return V
-
-
-def random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestFixPhases:
-    @pytest.mark.parametrize("d", [1, 2, 3, 16])
-    def test_matches_loop(self, rng, d):
-        for _ in range(20):
-            V = random_complex(rng, d, d)
-            assert np.array_equal(_fix_phases(V), fix_phases_loop(V))
-
-    def test_zero_column_and_sub_tol_leading_entries(self, rng):
-        assert TOL_EIG == 1e-10
-        V = random_complex(rng, 5, 5)
-        V[:, 1] = 0.0  # no pivot at all: left as it is
-        V[:2, 2] = 1e-12 * (1 + 1j)  # pivot is the third entry
-        V[:, 3] = 1e-12 * random_complex(rng, 5)  # nothing above tol: the first entry is the pivot
-        V[0, 4] = 0.0
-        out = _fix_phases(V)
-        assert np.array_equal(out, fix_phases_loop(V))
-        assert np.array_equal(out[:, 1], np.zeros(5))
-        assert abs(out[2, 2].imag) < 1e-15 and out[2, 2].real > 0
-
-    def test_stack_matches_loop_per_slice(self, rng):
-        V = random_complex(rng, 6, 4, 4)
-        V[2, :, 0] = 0.0
-        V[4, 0, :] = 1e-13
-        out = _fix_phases(V)
-        assert out.shape == V.shape
-        for k in range(V.shape[0]):
-            assert np.array_equal(out[k], fix_phases_loop(V[k]))
 
 
 class TestStacks:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from userkit.errors import SpectrumOutOfRange
-from userkit.oracle import compare, exact_intermediate_expectation, mc_haar_unitary
+from userkit.oracle import exact_intermediate_expectation, mc_haar_unitary
 from conftest import random_hermitian, random_state
 
 
@@ -41,18 +41,6 @@ class TestMcHaarUnitary:
         vals = np.array([abs(mc_haar_unitary(d, s)[0, 0]) ** 2 for s in range(n)])
         stderr = np.std(vals, ddof=1) / np.sqrt(n)
         assert abs(np.mean(vals) - 1.0 / d) <= 3.0 * stderr
-
-
-class TestCompare:
-    def test_exact_match(self):
-        assert compare("x", 1.5, 1.5, 1e-12).passed
-
-    def test_mismatch(self):
-        rep = compare("x", 0.0, 1.0, 0.5)
-        assert not rep.passed and rep.abs_err == 1.0
-
-    def test_boundary_inclusive(self):
-        assert compare("x", 1.0, 1.5, 0.5).passed
 
 
 class TestDependencyDirection:

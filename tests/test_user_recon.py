@@ -13,7 +13,7 @@ from userkit.errors import (
     NotNormalized,
     NotUnitary,
 )
-from userkit.matrix_core import eig_hermitian, expm_hermitian_i
+from userkit.matrix_core import HermitianEig, eig_hermitian, expm_hermitian_i
 from userkit.oracle import exact_intermediate_expectation
 from userkit.user_recon import (
     MAX_GRID_SAMPLES,
@@ -22,7 +22,6 @@ from userkit.user_recon import (
     PureState,
     SpectralUnitary,
     aliasing_rate,
-    check_discretization,
     multiplicative_expectation,
     phase_separation,
     required_n_l,
@@ -114,6 +113,17 @@ class TestPhaseSeparation:
     def test_arithmetic(self):
         assert phase_separation(su_from_phases([-0.4, 0.1, 0.9])) == pytest.approx(1.3)
 
+    def test_frequency_spread_not_circular_spread(self):
+        # The eigenvalues lie 0.02 apart on the circle, but U^eta turns them in
+        # opposite directions: the family's frequency spread is 2 pi - 0.02.
+        a = np.pi - 0.01
+        su = spectral_decompose(np.diag([np.exp(1j * a), np.exp(-1j * a)]))
+        assert phase_separation(su) == pytest.approx(2 * np.pi - 0.02, abs=1e-12)
+        assert aliasing_rate(su) == pytest.approx(np.pi / (2 * np.pi - 0.02), abs=1e-12)
+        psi, O = PureState(np.array([1.0, 1.0]) / np.sqrt(2)), Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for eta in (0.1, 0.37, 1.0):
+            assert multiplicative_expectation(psi, O, su, eta) == pytest.approx(np.cos(2 * a * eta), abs=1e-12)
+
 
 class TestUnitaryPower:
     def test_zero_power_identity(self, rng):
@@ -190,13 +200,6 @@ class TestAliasing:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateSpectrum):
             aliasing_rate(su_from_phases([0.2, 0.2]))
-
-    def test_check_discretization(self):
-        su = su_from_phases([0.0, np.pi])
-        assert check_discretization(su, 0.5)
-        assert not check_discretization(su, 1.0)  # boundary excluded
-        su2 = su_from_phases([-np.pi + 5e-10, np.pi - 5e-10])
-        assert check_discretization(su2, 0.5)
 
 
 class TestGapAndPlan:
@@ -363,6 +366,23 @@ class TestSampleIntegerPowers:
         O = observable_of_kind(rng, d, kind)
         U = expm_hermitian_i(random_hermitian(rng, d), 0.2)
         assert_samples_match_references(psi, O, U, n_l)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_eigenvector_phases_do_not_matter(self, rng, d):
+        # The sampler reads O's eigenvectors only through |E^dag v|^2, so any
+        # unit phase on each column leaves the samples as they are.
+        H = random_hermitian(rng, d)
+        A = H / np.max(np.abs(np.linalg.eigvalsh(H)))
+        lam = 0.13  # 1 / lam off the integers
+        n_l = required_n_l(lam, no_defect_slack(A, lam))
+        U = expm_hermitian_i(A, np.pi * lam)
+        psi = PureState(random_state(rng, d))
+        O = Observable(random_hermitian(rng, d))
+        rotated = Observable(O.matrix)
+        phases = np.exp(2j * np.pi * rng.uniform(size=d))
+        object.__setattr__(rotated, "eig", HermitianEig(values=O.eig.values, vectors=O.eig.vectors * phases))
+        diff = sample_integer_powers(psi, rotated, U, n_l) - sample_integer_powers(psi, O, U, n_l)
+        assert np.max(np.abs(diff)) <= 1e-12 * max(O.spread(), 1.0)
 
     def test_dimension_mismatch(self, rng):
         U = expm_hermitian_i(random_hermitian(rng, 3), 0.3)
