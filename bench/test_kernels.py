@@ -5,14 +5,15 @@
 `sample_integer_powers` runs on the grid of the last ensemble member
 (lambda = 0.1, the longest grid) of the `noisy-16` preset at d=16 and of the
 same config at n_sites=128, and `sinc_reconstruct` interpolates the value at
-eta = 1 from that member's samples; the closed-form Haar twirl (`twirl_analytic` of
-`sear_error_channel`, what `twirl_mode: haar` computes per member) runs on the
-defect channel measured against the first member of `noisy-16` at d=16 and
-at n_sites=128; `twirl_discrete` runs on that channel at d=16 over the
-64-member simulable twirl set of `noisy-16` with `twirl_mode: simulable`,
-`n_t: 64`; `time_ordered_evolve` builds one member of the simulable twirl set
-(`twirl_mode: simulable`, 128 slices) of `noisy-16` at d=16 and at
-n_sites=128; `magnus_truncated` forms the order-2 Magnus operator of the
+eta = 1 from that member's samples; the haar noise stage,
+`estimate_noise_strength(approx, None, psi, O)` as `run` calls it in
+`twirl_mode: haar` (the ensemble checked once, then `twirl_analytic` per member
+from the members' overlaps), runs on the whole ensemble of `noisy-16` at d=16
+and at n_sites=128; `twirl_discrete` runs on the defect channel measured against
+the first member at d=16 over the 64-member simulable twirl set of `noisy-16`
+with `twirl_mode: simulable`, `n_t: 64`; `time_ordered_evolve` builds one
+member of the simulable twirl set (`twirl_mode: simulable`, 128 slices) of
+`noisy-16` at d=16 and at n_sites=128; `magnus_truncated` forms the order-2 Magnus operator of the
 lattice family at the same drive, on the 128-step grid the drive-fit designer
 uses, at d=16 and at n_sites=128; `eig_hermitian` decomposes the first block of
 slices that `time_ordered_evolve` exponentiates at once on that grid: a stack of
@@ -24,11 +25,11 @@ import numpy as np
 import pytest
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
-from userkit.channels import sear_error_channel, twirl_analytic, twirl_discrete
+from userkit.channels import sear_error_channel, twirl_discrete
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
 from userkit.matrix_core import eig_hermitian
-from userkit.sear import generate_approx_unitaries, run_sear
+from userkit.sear import estimate_noise_strength, generate_approx_unitaries, run_sear
 from userkit.user_recon import required_n_l, sample_integer_powers, sinc_reconstruct
 
 
@@ -61,10 +62,10 @@ def test_sinc_reconstruct(benchmark, last_member):
 
 @pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])
 def test_twirl_closed_form(benchmark, n_sites):
-    _, approx = noisy_experiment(n_sites)
-    unitaries = [U_k for U_k, _, _ in approx]
-    est = benchmark(lambda: twirl_analytic(sear_error_channel(unitaries[0], unitaries)))
-    assert est.epsilon > 0.0
+    exp, approx = noisy_experiment(n_sites)
+    assert exp.twirl_set is None  # twirl_mode: haar
+    mean_eps, per_k = benchmark(estimate_noise_strength, approx, None, exp.psi, exp.O)
+    assert mean_eps > 0.0 and len(per_k) == len(approx)
 
 
 def test_twirl_discrete_d16(benchmark):

@@ -98,32 +98,46 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out)
 
 
+class _UnitaryMembers(tuple):
+    """Matrices, each already checked unitary."""
+
+
+def _unitary_members(matrices) -> _UnitaryMembers:
+    """Convert and check each matrix once; a set already checked passes through."""
+    if isinstance(matrices, _UnitaryMembers):
+        return matrices
+    members = _UnitaryMembers(as_matrix(W) for W in matrices)
+    if not all(is_unitary(W) for W in members):
+        raise NotUnitary("member is not unitary")
+    return members
+
+
+def _checked(U_i, approx_list) -> tuple[np.ndarray, _UnitaryMembers]:
+    """U_i and the members, checked unitary; a checked set, and a U_i drawn from it, pass through."""
+    members = _unitary_members(approx_list)
+    return (U_i if any(U_i is U for U in members) else _unitary_members((U_i,))[0]), members
+
+
 def sear_error_channel(U_i, approx_list) -> KrausChannel:
     """Mixed-unitary channel with Kraus (1/sqrt(n_a)) U_a^(mu) U_i^dag.
 
     Applying it to U_i rho U_i^dag and taking Tr[. O] reproduces the arithmetic
     mean of the n_a approximate expectation values exactly.
     """
-    U_i = as_matrix(U_i)
-    if not is_unitary(U_i):
-        raise NotUnitary("reference unitary is not unitary")
-    Uid = U_i.conj().T
-    products = [as_matrix(U) @ Uid for U in approx_list]
-    if not all(is_unitary(P) for P in products):
-        raise NotUnitary("ensemble member is not unitary")
-    w = 1.0 / np.sqrt(len(products))
-    return KrausChannel(tuple(w * P for P in products))
+    U_i, members = _checked(U_i, approx_list)
+    w = 1.0 / np.sqrt(len(members))
+    return KrausChannel(tuple(w * (U @ U_i.conj().T) for U in members))
 
 
-def twirl_analytic(ch: KrausChannel) -> DepolarizingEstimate:
-    """Closed-form Haar twirl: eps = d^2 (1 - F_e) / (d^2 - 1) with the
-    entanglement fidelity F_e = (1/d^2) sum_mu |Tr K_mu|^2.
-
-    F_e <= 1 for every trace-preserving channel, so a negative eps is rounding
-    and reads 0.  Validated against the Monte-Carlo twirl in the test suite.
-    """
-    d = ch.dim
-    F_e = sum(abs(complex(np.trace(K))) ** 2 for K in ch.kraus) / (d * d)
+def twirl_analytic(U_i, approx_list) -> DepolarizingEstimate:
+    """Closed-form Haar twirl of sear_error_channel(U_i, approx_list), without
+    building it (Nielsen, PLA 303 (2002)): eps = d^2 (1 - F_e) / (d^2 - 1) with
+    the entanglement fidelity F_e = sum_a |Tr U_a U_i^dag|^2 / (n_a d^2) <= 1,
+    so a negative eps is rounding and reads 0.  Checked against the Monte-Carlo
+    twirl in the test suite."""
+    U_i, members = _checked(U_i, approx_list)
+    d = U_i.shape[0]
+    F_e = sum(abs(np.vdot(U_i, U)) ** 2 for U in members) / (len(members) * d * d)
     eps = d * d * (1.0 - F_e) / (d * d - 1.0)
     return DepolarizingEstimate(epsilon=max(0.0, float(eps)), stderr=0.0)
 
@@ -176,20 +190,6 @@ def twirl_haar_mc(
     rng = np.random.default_rng(seed)
     draws = [haar_unitary(ch.dim, rng) for _ in range(n_samples)]
     return twirl_discrete(ch, draws, probe, O)
-
-
-class _UnitaryMembers(tuple):
-    """Twirl-set members as matrices, each already checked unitary."""
-
-
-def _unitary_members(twirl_set) -> _UnitaryMembers:
-    """Convert and check each member once; a set already checked passes through."""
-    if isinstance(twirl_set, _UnitaryMembers):
-        return twirl_set
-    members = _UnitaryMembers(as_matrix(W) for W in twirl_set)
-    if not all(is_unitary(W) for W in members):
-        raise NotUnitary("twirl-set member is not unitary")
-    return members
 
 
 def twirl_discrete(

@@ -40,6 +40,11 @@ class HermitianEig:
     def dim(self) -> int:
         return self.values.shape[-1]
 
+    def expm_i(self, scale: float) -> np.ndarray:
+        """e^{i * scale * H} of the decomposed H (or of each slice of a stack)."""
+        phases = np.exp(1j * scale * self.values)
+        return (self.vectors * phases[..., None, :]) @ self.vectors.swapaxes(-1, -2).conj()
+
 
 def is_finite_number(x) -> bool:
     """A finite int or float, not a bool (abs(x) <= max fails for nan, inf and huge ints)."""
@@ -90,6 +95,4 @@ def eig_hermitian(H: np.ndarray) -> HermitianEig:
 def expm_hermitian_i(H: np.ndarray, scale: float) -> np.ndarray:
     """e^{i * scale * H} for Hermitian H (or each slice of a stack), via
     eigendecomposition."""
-    eig = eig_hermitian(H)
-    phases = np.exp(1j * scale * eig.values)
-    return (eig.vectors * phases[..., None, :]) @ eig.vectors.swapaxes(-1, -2).conj()
+    return eig_hermitian(H).expm_i(scale)

@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aqs_magnus import SequencePlan, approx_discretization_unitary, design_sequence
+from .aqs_magnus import SequencePlan, _check_target, approx_discretization_unitary, design_sequence
 from .channels import _unitary_members, sear_error_channel, twirl_analytic, twirl_discrete
-from .matrix_core import TOL_EIG, eig_hermitian, expm_hermitian_i, finite_floats
+from .matrix_core import TOL_EIG, eig_hermitian, finite_floats
 from .user_recon import Observable, PureState, user_reconstruct
 
 
@@ -59,7 +59,7 @@ class SearResult:
     noise_strength: float
     spread: float
     error_bar: float
-    exact_value: Optional[float]
+    exact_value: float
     per_sample: tuple
 
 
@@ -76,14 +76,14 @@ def generate_approx_unitaries(
 ) -> list[tuple[np.ndarray, np.ndarray, SequencePlan]]:
     """One ensemble member (U_k, U_sd, plan) per index k: design a sequence at
     lambda^(k), form the discretization unitary U_sd, and raise it to
-    tau^(k) = round(1/lambda^(k)) for U_k."""
+    tau^(k) = round(1/lambda^(k)) for U_k.  A is checked once, here."""
+    target_A = _check_target(target_A)
     seeds = np.random.SeedSequence(config.seed).generate_state(len(config.lambdas))
     out = []
     for k, lam in enumerate(config.lambdas):
         plan = design_sequence(target_A, lam, config.perturbation, seed=int(seeds[k]), n_s=config.n_s)
         U_sd = approx_discretization_unitary(plan)
-        tau = int(round(1.0 / lam))
-        out.append((np.linalg.matrix_power(U_sd, tau), U_sd, plan))
+        out.append((np.linalg.matrix_power(U_sd, round(1.0 / lam)), U_sd, plan))
     return out
 
 
@@ -95,19 +95,20 @@ def estimate_noise_strength(
 ) -> tuple[float, list[float]]:
     """Per-k twirl of the defect channel measured against member k,
     sear_error_channel(U_k, [U_1 .. U_n]), then the mean.  twirl_set None is the
-    Haar measure, in closed form (no probe read); an explicit set is twirled on
-    the probe and checked unitary once, not once per k.  With an explicit set and
-    a zero-spread observable (a multiple of the identity) no probe can resolve a
-    noise strength, and none is needed: every per_k is 0."""
-    if twirl_set is not None and O.spread() <= TOL_EIG:
-        return 0.0, [0.0] * len(approx_list)
-    unitaries = [U_k for U_k, _, _ in approx_list]
-    channels = [sear_error_channel(U_k, unitaries) for U_k in unitaries]
+    Haar measure, in closed form from overlaps (no channel built, no probe read);
+    an explicit set is twirled on the probe.  Members and set are checked unitary
+    once, not once per k.  With an explicit set and a zero-spread observable (a
+    multiple of the identity) no probe can resolve a noise strength, and none is
+    needed: every per_k is 0, once the set is checked."""
+    unitaries = _unitary_members(U_k for U_k, _, _ in approx_list)
     if twirl_set is None:
-        per_k = [twirl_analytic(ch).epsilon for ch in channels]
+        per_k = [twirl_analytic(U_k, unitaries).epsilon for U_k in unitaries]
     else:
         members = _unitary_members(twirl_set)
-        per_k = [twirl_discrete(ch, members, psi, O).epsilon for ch in channels]
+        if O.spread() <= TOL_EIG:
+            per_k = [0.0] * len(unitaries)
+        else:
+            per_k = [twirl_discrete(sear_error_channel(U_k, unitaries), members, psi, O).epsilon for U_k in unitaries]
     return float(np.mean(per_k)), per_k
 
 
@@ -118,33 +119,25 @@ def run_sear(
     twirl_set: Optional[Sequence[np.ndarray]],
     config: SearConfig,
 ) -> SearResult:
-    spread_A = float(np.ptp(eig_hermitian(target_A).values))
+    eig_A = eig_hermitian(target_A)
+    spread_A = float(np.ptp(eig_A.values))
     deltas = [band_slack(spread_A, lam, config.n_s, config.perturbation) for lam in config.lambdas]
     approx_list = generate_approx_unitaries(target_A, config)
     members = [
         user_reconstruct(psi, O, U_sd, lam, delta)
         for (_, U_sd, _), lam, delta in zip(approx_list, config.lambdas, deltas)
     ]
-    mean_value = float(np.mean([value for value, _ in members]))
-    spread = O.spread()
     noise_strength, per_k = estimate_noise_strength(approx_list, twirl_set, psi, O)
-    error_bar = noise_strength * spread
-    exact_value = None
-    if target_A.shape[0] <= 64:
-        # Small dims only: direct diagonalization of the ideal intermediate
-        # unitary (kept local so the oracle module stays import-independent).
-        U_i = expm_hermitian_i(target_A, pi)
-        v = U_i @ psi.amplitudes
-        exact_value = float(np.real(v.conj() @ O.matrix @ v))
-    per_sample = tuple(
-        SampleRecord(lam=lam, delta=delta, value=value, epsilon=eps, samples=samples)
-        for lam, delta, (value, samples), eps in zip(config.lambdas, deltas, members, per_k)
-    )
+    spread = O.spread()
+    v = eig_A.expm_i(pi) @ psi.amplitudes  # the exact reference, e^{i pi A} psi
     return SearResult(
-        mean_value=mean_value,
+        mean_value=float(np.mean([value for value, _ in members])),
         noise_strength=noise_strength,
         spread=spread,
-        error_bar=error_bar,
-        exact_value=exact_value,
-        per_sample=per_sample,
+        error_bar=noise_strength * spread,
+        exact_value=float(np.real(v.conj() @ O.matrix @ v)),
+        per_sample=tuple(
+            SampleRecord(lam=lam, delta=delta, value=value, epsilon=eps, samples=samples)
+            for lam, delta, (value, samples), eps in zip(config.lambdas, deltas, members, per_k)
+        ),
     )

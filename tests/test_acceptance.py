@@ -155,7 +155,7 @@ def test_criterion_4_analytic_twirl_vs_monte_carlo():
         ch = sear_error_channel(U_i, approx)
         probe = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
-        analytic = twirl_analytic(ch)
+        analytic = twirl_analytic(U_i, approx)
         mc = twirl_haar_mc(ch, 2000, seed=5000 + i, probe=probe, O=O)
         if abs(analytic.epsilon - mc.epsilon) <= 3.0 * mc.stderr + 1e-12:
             agree += 1

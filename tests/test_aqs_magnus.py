@@ -6,6 +6,7 @@ from userkit.aqs_magnus import (
     _EVOLVE_BLOCK_ENTRIES,
     EvolutionSpec,
     HamiltonianFamily,
+    SequencePlan,
     approx_discretization_unitary,
     design_sequence,
     design_sequence_drive_fit,
@@ -17,6 +18,7 @@ from userkit.aqs_magnus import (
 from userkit.errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
 from userkit.lattice import LatticeSpec, build_lattice_family
 from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
+from userkit.sear import SearConfig, generate_approx_unitaries
 from conftest import random_hermitian, random_target_A
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -247,8 +249,9 @@ class TestDesignSequence:
         assert p1.residual == p2.residual
 
     def test_spectrum_out_of_range(self, rng):
+        # A is checked once per ensemble, where generate_approx_unitaries enters
         with pytest.raises(SpectrumOutOfRange):
-            design_sequence(2.0 * np.eye(2), 0.25, 0.0, 0)
+            generate_approx_unitaries(2.0 * np.eye(2), SearConfig(lambdas=(0.25,)))
 
 
 class TestApproxDiscretizationUnitary:
@@ -257,6 +260,13 @@ class TestApproxDiscretizationUnitary:
         for p in (0.0, 1e-3, 0.1, 1.0):
             plan = design_sequence(A, 0.2, perturbation=p, seed=3)
             assert is_unitary(approx_discretization_unitary(plan))
+
+    def test_non_hermitian_term_rejected(self):
+        # a term is exponentiated as given: one that is not Hermitian raises,
+        # it is not Hermitized first
+        plan = SequencePlan(magnus_terms=(0.1 * Z, 0.1 * (X + 1j * X)), residual=0.0)
+        with pytest.raises(NotHermitian):
+            approx_discretization_unitary(plan)
 
     def test_defect_scales_with_perturbation(self, rng):
         A = random_target_A(rng, 4)

@@ -40,9 +40,12 @@ def non_hermitian_observable():
     return O
 
 
+def random_unitaries(rng, d, n):
+    return [haar_unitary(d, rng) for _ in range(n)]
+
+
 def random_mixed_unitary(rng, d, n):
-    us = [haar_unitary(d, rng) for _ in range(n)]
-    return KrausChannel(tuple(u / np.sqrt(n) for u in us))
+    return KrausChannel(tuple(u / np.sqrt(n) for u in random_unitaries(rng, d, n)))
 
 
 class TestDensityMatrix:
@@ -159,31 +162,36 @@ class TestComplementaryChannel:
 
 class TestTwirlAnalytic:
     def test_identity_channel_zero(self):
-        est = twirl_analytic(KrausChannel((np.eye(2, dtype=complex),)))
+        # U_i = I with the single member I is the identity channel
+        I2 = np.eye(2, dtype=complex)
+        est = twirl_analytic(I2, [I2])
         assert est.epsilon == pytest.approx(0.0, abs=1e-14)
 
     def test_rounding_above_unit_fidelity_clamped(self):
-        # (1 + 1e-10) I passes the trace-preservation check but has F_e > 1:
+        # (1 + 1e-10) I passes the unitarity check but has F_e > 1:
         # the unclamped eps would be about -2e-10
         for d in (2, 8):
-            ch = KrausChannel(((1.0 + 1e-10) * np.eye(d, dtype=complex),))
-            assert twirl_analytic(ch).epsilon == 0.0
-        assert twirl_analytic(KrausChannel((np.eye(4, dtype=complex),))).epsilon == 0.0
+            I = np.eye(d, dtype=complex)
+            assert twirl_analytic(I, [(1.0 + 1e-10) * I]).epsilon == 0.0
+        I4 = np.eye(4, dtype=complex)
+        assert twirl_analytic(I4, [I4]).epsilon == 0.0
 
     def test_traceless_unitary(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        est = twirl_analytic(KrausChannel((X,)))
+        est = twirl_analytic(np.eye(2, dtype=complex), [X])
         assert est.epsilon == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_matches_mc_oracle(self, rng):
-        # formula validation on random mixed-unitary channels (d in {2,3,4})
+        # formula validation on random mixed-unitary channels (d in {2,3,4}):
+        # the plain equal-weight mixture of the members is U_i = I
         for trial in range(20):
             d = 2 + trial % 3
-            ch = random_mixed_unitary(rng, d, 2 + trial % 3)
+            members = random_unitaries(rng, d, 2 + trial % 3)
+            ch = sear_error_channel(np.eye(d, dtype=complex), members)
             psi = PureState(random_state(rng, d))
             O = Observable(random_hermitian(rng, d))
             mc = twirl_haar_mc(ch, 2000, seed=trial, probe=psi, O=O)
-            an = twirl_analytic(ch)
+            an = twirl_analytic(np.eye(d, dtype=complex), members)
             assert abs(an.epsilon - mc.epsilon) <= 3.0 * mc.stderr + 1e-12
 
 

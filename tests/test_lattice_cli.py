@@ -28,6 +28,7 @@ from userkit.lattice import (
     target_A_from_hamiltonian,
 )
 from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
+from userkit.oracle import exact_intermediate_expectation
 from userkit.sear import run_sear
 
 
@@ -418,6 +419,17 @@ class TestCli:
         rows = (out_dir / "reconstruction.csv").read_text().splitlines()[1:]
         value_at_1 = float(rows[100].split(",")[1])  # eta = 100 * 1.2 / 120
         assert value_at_1 == pytest.approx(run_library(cfg_path).per_sample[0].value, abs=1e-12 * result["spread"])
+
+    def test_exact_above_d64(self, tmp_path):
+        # result.json reports the exact value at every dimension, from run_sear's
+        # one decomposition of A, and it agrees with the independent oracle
+        cfg_path = write_config(tmp_path, "exact-small", n_sites=72, emit=["result_json"])
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+        result = json.loads((out_dir / "result.json").read_text())
+        exp = Experiment.from_config(load_config(str(cfg_path)))
+        oracle = exact_intermediate_expectation(exp.psi.amplitudes, exp.O.matrix, exp.target_A)
+        assert abs(result["exact"] - oracle) <= 1e-9 * result["spread"]
 
     def test_twirl_zero_spread_simulable_matches_run(self, tmp_path):
         # no probe resolves a noise strength through a zero-spread observable, and

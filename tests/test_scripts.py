@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -54,3 +55,13 @@ def test_bench_smoke():
     pytest.importorskip("pytest_benchmark")
     out = run_python("-m", "pytest", "bench", "--benchmark-disable", "-q", "-p", "no:cacheprovider")
     assert "passed" in out and "failed" not in out
+
+
+@pytest.mark.parametrize("workload", ["noisy-16", "simulable-twirl"])
+def test_perfbench_tracer_smoke(workload):
+    # the tracer binds library functions and their argument names; a traced
+    # run must still bind them all and check out
+    out = run_python(
+        "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"
+    )
+    assert json.loads(out.splitlines()[-1])["correct"] is True

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from userkit.aqs_magnus import approx_discretization_unitary, design_sequence
 from userkit.channels import haar_unitary, sear_error_channel, twirl_analytic
@@ -133,9 +135,17 @@ class TestEstimateNoiseStrength:
         with pytest.raises(NotUnitary):
             estimate_noise_strength(approx, twirl_set, psi, O)
 
-    def test_matches_analytic_twirl(self, rng):
-        from userkit.channels import sear_error_channel, twirl_analytic
+    def test_zero_spread_non_unitary_twirl_member_raises(self, rng):
+        # the explicit set is checked before the zero-spread shortcut returns
+        from userkit.errors import NotUnitary
 
+        A, psi, _ = make_problem(rng)
+        approx = generate_approx_unitaries(A, SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4))
+        with pytest.raises(NotUnitary):
+            estimate_noise_strength(approx, [3.0 * np.eye(4)], psi, Observable(2.5 * np.eye(4)))
+        assert estimate_noise_strength(approx, [np.eye(4)], psi, Observable(2.5 * np.eye(4))) == (0.0, [0.0, 0.0])
+
+    def test_matches_analytic_twirl(self, rng):
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4)
         approx = generate_approx_unitaries(A, cfg)
@@ -145,9 +155,8 @@ class TestEstimateNoiseStrength:
         mean_eps, per_k = estimate_noise_strength(approx, twirl_set, psi, O)
         unitaries = [U for U, _, _ in approx]
         for k, eps_k in enumerate(per_k):
-            ch = sear_error_channel(unitaries[k], unitaries)
-            an = twirl_analytic(ch)
-            est = twirl_discrete(ch, twirl_set, psi, O)
+            an = twirl_analytic(unitaries[k], unitaries)
+            est = twirl_discrete(sear_error_channel(unitaries[k], unitaries), twirl_set, psi, O)
             assert eps_k == pytest.approx(est.epsilon, abs=1e-12)
             # small eps is dominated by the O(1/sqrt(n_t)) twirl fluctuation
             assert abs(eps_k - an.epsilon) <= 3.0 * est.stderr + 1e-10
@@ -173,7 +182,7 @@ class TestHaarNoiseStrength:
         approx = generate_approx_unitaries(A, cfg)
         unitaries = [U for U, _, _ in approx]
         mean_eps, per_k = estimate_noise_strength(approx, None, psi, O)
-        assert per_k == [twirl_analytic(sear_error_channel(U, unitaries)).epsilon for U in unitaries]
+        assert per_k == [twirl_analytic(U, unitaries).epsilon for U in unitaries]
         assert mean_eps == float(np.mean(per_k)) and min(per_k) > 0.0
         other_psi, other_O = PureState(random_state(rng, 4)), Observable(random_hermitian(rng, 4))
         assert estimate_noise_strength(approx, None, other_psi, other_O) == (mean_eps, per_k)
@@ -296,3 +305,34 @@ class TestBandSlack:
             assert circular_phase_spread(U_sd) <= bound + 1e-12
             if perturbation == 0.0:
                 assert circular_phase_spread(U_sd) >= bound - 1e-12
+
+
+class TestNoiseStageInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_a=st.integers(1, 5),
+        scale=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_is_the_channel_twirl(self, d, n_a, scale, seed):
+        # members U_a = e^{i scale H_a} U_i: the overlap form equals F_e read off
+        # the Kraus operators of sear_error_channel, and eps is physical
+        rng = np.random.default_rng(seed)
+        U_i = haar_unitary(d, rng)
+        approx = [expm_hermitian_i(random_hermitian(rng, d), scale) @ U_i for _ in range(n_a)]
+        F_e = sum(abs(np.trace(K)) ** 2 for K in sear_error_channel(U_i, approx).kraus) / d**2
+        eps = twirl_analytic(U_i, approx).epsilon
+        assert eps == pytest.approx(max(0.0, d**2 * (1.0 - F_e) / (d**2 - 1.0)), abs=1e-12)
+        assert 0.0 <= eps <= d**2 / (d**2 - 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 6), perturbation=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+    def test_run_sear_error_bar(self, d, perturbation, seed):
+        rng = np.random.default_rng(seed)
+        A, psi, O = make_problem(rng, d)
+        cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=perturbation, seed=seed % 1000, n_s=1)
+        res = run_sear(A, psi, O, None, cfg)
+        per_k = [rec.epsilon for rec in res.per_sample]
+        assert res.noise_strength == float(np.mean(per_k))
+        assert res.error_bar == res.noise_strength * res.spread
