@@ -12,12 +12,13 @@ from the members' overlaps), runs on the whole ensemble of `noisy-16` at d=16
 and at n_sites=128; `twirl_discrete` runs on the defect channel measured against
 the first member at d=16 over the 64-member simulable twirl set of `noisy-16`
 with `twirl_mode: simulable`, `n_t: 64`; `time_ordered_evolve` builds one
-member of the simulable twirl set (`twirl_mode: simulable`, 128 slices) of
-`noisy-16` at d=16 and at n_sites=128; `magnus_truncated` forms the order-2 Magnus operator of the
-lattice family at the same drive, on the 128-step grid the drive-fit designer
-uses, at d=16 and at n_sites=128; `eig_hermitian` decomposes the first block of
-slices that `time_ordered_evolve` exponentiates at once on that grid: a stack of
-16 at d=16 and one matrix at n_sites=128.  `bench/` is outside the test suite's
+member of the simulable twirl set (`twirl_mode: simulable`, `TWIRL_STEPS` = 16
+fourth-order Magnus steps) of `noisy-16` at d=16 and at n_sites=128;
+`magnus_truncated` forms the order-2 Magnus operator of the lattice family at
+the same drive, on the 128-step grid the drive-fit designer uses, at d=16 and
+at n_sites=128; `eig_hermitian` decomposes the first block of step generators
+`G_n` that `time_ordered_evolve` exponentiates at once for that member: a stack
+of 16 at d=16 and one matrix at n_sites=128.  `bench/` is outside the test suite's
 `testpaths`, so a plain `pytest` run skips it.
 """
 
@@ -26,7 +27,7 @@ import pytest
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
 from userkit.channels import sear_error_channel, twirl_discrete
-from userkit.config import Experiment, preset_config, resolve_config
+from userkit.config import TWIRL_STEPS, Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
 from userkit.matrix_core import eig_hermitian
 from userkit.sear import estimate_noise_strength, generate_approx_unitaries, run_sear
@@ -81,7 +82,7 @@ def test_time_ordered_evolve(benchmark, n_sites):
     cfg = resolve_config(dict(preset_config("noisy-16").raw, n_sites=n_sites))
     fam = build_lattice_family(cfg.lattice)
     # the middle of the (gamma, t) ranges the simulable twirl set draws from
-    spec = EvolutionSpec(gamma=cfg.raw["drive_omega"], t_final=0.65, n_steps=128)
+    spec = EvolutionSpec(gamma=cfg.raw["drive_omega"], t_final=0.65, n_steps=TWIRL_STEPS)
     U = benchmark(time_ordered_evolve, fam, spec)
     assert U.shape == (n_sites, n_sites)
 
@@ -98,8 +99,16 @@ def test_magnus_truncated(benchmark, n_sites):
 def test_eig_hermitian(benchmark, n_sites, n_slices):
     cfg = resolve_config(dict(preset_config("noisy-16").raw, n_sites=n_sites))
     fam = build_lattice_family(cfg.lattice)
-    t = (np.arange(n_slices) + 0.5) * 0.65 / 128  # midpoints of the 128-step grid above
-    H = fam.K + np.sin(cfg.raw["drive_omega"] * t)[:, None, None] * fam.V
+    # the first steps' generators G_n of the member above
+    h = 0.65 / TWIRL_STEPS
+    t = np.arange(n_slices) * h
+    s1 = np.sin(cfg.raw["drive_omega"] * (t + (0.5 - np.sqrt(3.0) / 6.0) * h))
+    s2 = np.sin(cfg.raw["drive_omega"] * (t + (0.5 + np.sqrt(3.0) / 6.0) * h))
+    H = (
+        h * fam.K
+        + (0.5 * h * (s1 + s2))[:, None, None] * fam.V
+        + ((np.sqrt(3.0) / 12.0) * h * h * (s2 - s1))[:, None, None] * fam.iKV
+    )
     H = H if n_slices > 1 else H[0]
     eig = benchmark(eig_hermitian, H)
     assert eig.vectors.shape == H.shape

@@ -1,6 +1,7 @@
-"""Analog-simulator model: driven Hamiltonian families, time-ordered evolution,
-the first two Magnus terms, and sequence designers that assemble approximate
-discretization unitaries from simulable evolutions.
+"""Analog-simulator model: driven Hamiltonian families, time-ordered evolution
+by the fourth-order Magnus integrator, the first two Magnus terms, and
+sequence designers that assemble approximate discretization unitaries from
+simulable evolutions.
 
 Sign convention throughout: U(t) = e^{+i M(t)} with Omega_1 = -int_0^t H, so
 that e^{i Omega_1} = e^{-i int H} for commuting families.
@@ -8,8 +9,8 @@ that e^{i Omega_1} = e^{-i int H} for commuting families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import pi
+from dataclasses import dataclass, field
+from math import pi, sqrt
 from typing import Optional
 
 import numpy as np
@@ -21,10 +22,13 @@ from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, expm_hermitian_i, he
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """Driven generator H_gamma(t) = K + sin(gamma t) V.  K and V are checked
-    once, on construction: square, of one shape, finite, and Hermitian."""
+    once, on construction: square, of one shape, finite, and Hermitian.  Every
+    commutator of two generators is a multiple of [K, V], so the Hermitian
+    iKV = i[K, V] is formed here, once per family."""
 
     K: np.ndarray
     V: np.ndarray
+    iKV: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         K, V = as_matrix(self.K), as_matrix(self.V)
@@ -36,6 +40,7 @@ class HamiltonianFamily:
                 raise NotHermitian(f"{name} Hermiticity defect {defect:.3e} > {TOL_EIG:.3e}")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "V", V)
+        object.__setattr__(self, "iKV", 1j * (K @ V - V @ K))
 
     @property
     def dim(self) -> int:
@@ -71,24 +76,39 @@ def _drive(gamma: float, t: float, n_steps: int) -> tuple[np.ndarray, float]:
     return np.sin(gamma * ((np.arange(n_steps) + 0.5) * dt)), dt
 
 
-# Matrix entries per stacked block of slices: 64 KB of complex numbers, 16
-# slices at d=16 and one from d=64 up.  The exponentiation holds about seven
-# block-sized arrays at once; at 1 MB blocks the simulable twirl build at d=16
-# raised peak RSS by 3.6 MB and ran no faster than with these.
+# Matrix entries per stacked block of step generators: 64 KB of complex
+# numbers, 16 steps at d=16 and one from d=64 up.  The exponentiation holds
+# about seven block-sized arrays at once; at 1 MB blocks the simulable twirl
+# build at d=16 raised peak RSS by 3.6 MB and ran no faster than with these.
 _EVOLVE_BLOCK_ENTRIES = 1 << 12
 
 
 def time_ordered_evolve(fam: HamiltonianFamily, spec: EvolutionSpec) -> np.ndarray:
-    """Ordered product of midpoint-slice exponentials, latest time leftmost.
+    """Ordered product of fourth-order Magnus steps, latest step leftmost.
 
-    A block of slices K + s_j V is built at a time and exponentiated with one
-    stacked `expm_hermitian_i` call."""
-    s, dt = _drive(spec.gamma, spec.t_final, spec.n_steps)
+    Step n of h = t/n_steps is e^{-i G_n} with the two-node Gauss-Legendre
+    Magnus generator (Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999);
+    Blanes, Casas, Oteo, Ros, Phys. Rep. 470 (2009), section 5).  The drive is
+    read at the nodes t_n + h (1/2 -/+ sqrt(3)/6), s_1 and s_2; since
+    [H_1, H_2] = (s_2 - s_1) [K, V], the step's commutator term is a multiple
+    of the family's iKV and
+        G_n = (h/2) (2K + (s_1 + s_2) V) + (sqrt(3) h^2 / 12) (s_2 - s_1) iKV,
+    one exponential per step, with a local error O(h^5).  A constant family is
+    integrated exactly.  A block of G_n is built at a time and exponentiated
+    with one stacked `expm_hermitian_i` call."""
+    h = spec.t_final / spec.n_steps
+    start_times = np.arange(spec.n_steps) * h
+    s1 = np.sin(spec.gamma * (start_times + (0.5 - sqrt(3.0) / 6.0) * h))
+    s2 = np.sin(spec.gamma * (start_times + (0.5 + sqrt(3.0) / 6.0) * h))
+    v_coef = 0.5 * h * (s1 + s2)
+    c_coef = (sqrt(3.0) / 12.0) * h * h * (s2 - s1)
+    hK = h * fam.K
     block = max(1, _EVOLVE_BLOCK_ENTRIES // fam.dim**2)
     U = np.eye(fam.dim, dtype=complex)
-    for start in range(0, len(s), block):
-        slices = fam.K + s[start : start + block, None, None] * fam.V
-        for step in expm_hermitian_i(slices, -dt):
+    for start in range(0, spec.n_steps, block):
+        stop = start + block
+        G = hK + v_coef[start:stop, None, None] * fam.V + c_coef[start:stop, None, None] * fam.iKV
+        for step in expm_hermitian_i(G, -1.0):
             U = step @ U
     return U
 
@@ -104,12 +124,12 @@ def magnus_omega2(fam: HamiltonianFamily, gamma: float, t: float, n_steps: int =
 
     The grid sum is sum_j [H_j, sum_{l<j} H_l] (equal-time cells contribute
     nothing).  With [H_j, H_l] = (s_l - s_j) [K, V] it collapses to
-    c [K, V], c = sum_j (sum_{l<j} s_l - j s_j): one commutator however many
-    steps (Blanes, Casas, Oteo, Ros, Phys. Rep. 470 (2009)).
+    c [K, V], c = sum_j (sum_{l<j} s_l - j s_j): a multiple of the family's
+    iKV, however many steps (Blanes, Casas, Oteo, Ros, Phys. Rep. 470 (2009)).
     """
     s, dt = _drive(gamma, t, n_steps)
     c = float(np.sum(np.cumsum(s) - s - np.arange(n_steps) * s))
-    return 0.5j * dt * dt * c * (fam.K @ fam.V - fam.V @ fam.K)
+    return 0.5 * dt * dt * c * fam.iKV
 
 
 def magnus_truncated(

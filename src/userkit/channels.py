@@ -113,9 +113,14 @@ def _unitary_members(matrices) -> _UnitaryMembers:
 
 
 def _checked(U_i, approx_list) -> tuple[np.ndarray, _UnitaryMembers]:
-    """U_i and the members, checked unitary; a checked set, and a U_i drawn from it, pass through."""
+    """U_i and the members, checked unitary and of one dimension; a checked set,
+    and a U_i drawn from it, pass through."""
     members = _unitary_members(approx_list)
-    return (U_i if any(U_i is U for U in members) else _unitary_members((U_i,))[0]), members
+    if not any(U_i is U for U in members):
+        U_i = _unitary_members((U_i,))[0]
+    if any(U.shape != U_i.shape for U in members):
+        raise DimensionMismatch(f"members differ in dimension from U_i ({U_i.shape[0]})")
+    return U_i, members
 
 
 def sear_error_channel(U_i, approx_list) -> KrausChannel:

