@@ -16,9 +16,11 @@ member of the simulable twirl set (`twirl_mode: simulable`, `TWIRL_STEPS` = 16
 fourth-order Magnus steps) of `noisy-16` at d=16 and at n_sites=128;
 `magnus_truncated` forms the order-2 Magnus operator of the lattice family at
 the same drive, on the 128-step grid the drive-fit designer uses, at d=16 and
-at n_sites=128; `eig_hermitian` decomposes the first block of step generators
-`G_n` that `time_ordered_evolve` exponentiates at once for that member: a stack
-of 16 at d=16 and one matrix at n_sites=128.  `bench/` is outside the test suite's
+at n_sites=128; `expm_hermitian_i` exponentiates the first block of step
+generators `G_n` that `time_ordered_evolve` exponentiates at once for that
+member (a stack of 16 at d=16 and one matrix at n_sites=128), from matrix
+products, and `eig_hermitian` decomposes the same block, as `run_sear`'s
+exact reference decomposes `A`.  `bench/` is outside the test suite's
 `testpaths`, so a plain `pytest` run skips it.
 """
 
@@ -29,7 +31,7 @@ from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evo
 from userkit.channels import sear_error_channel, twirl_discrete
 from userkit.config import TWIRL_STEPS, Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
-from userkit.matrix_core import eig_hermitian
+from userkit.matrix_core import eig_hermitian, expm_hermitian_i
 from userkit.sear import estimate_noise_strength, generate_approx_unitaries, run_sear
 from userkit.user_recon import required_n_l, sample_integer_powers, sinc_reconstruct
 
@@ -95,11 +97,12 @@ def test_magnus_truncated(benchmark, n_sites):
     assert M.shape == (n_sites, n_sites)
 
 
-@pytest.mark.parametrize("n_sites, n_slices", [(16, 16), (128, 1)], ids=["d16_stack16", "d128"])
-def test_eig_hermitian(benchmark, n_sites, n_slices):
+@pytest.fixture(scope="module", params=[(16, 16), (128, 1)], ids=["d16_stack16", "d128"])
+def first_generators(request):
+    """The first block of step generators G_n of the member above."""
+    n_sites, n_slices = request.param
     cfg = resolve_config(dict(preset_config("noisy-16").raw, n_sites=n_sites))
     fam = build_lattice_family(cfg.lattice)
-    # the first steps' generators G_n of the member above
     h = 0.65 / TWIRL_STEPS
     t = np.arange(n_slices) * h
     s1 = np.sin(cfg.raw["drive_omega"] * (t + (0.5 - np.sqrt(3.0) / 6.0) * h))
@@ -109,6 +112,14 @@ def test_eig_hermitian(benchmark, n_sites, n_slices):
         + (0.5 * h * (s1 + s2))[:, None, None] * fam.V
         + ((np.sqrt(3.0) / 12.0) * h * h * (s2 - s1))[:, None, None] * fam.iKV
     )
-    H = H if n_slices > 1 else H[0]
-    eig = benchmark(eig_hermitian, H)
-    assert eig.vectors.shape == H.shape
+    return H if n_slices > 1 else H[0]
+
+
+def test_expm_hermitian_i(benchmark, first_generators):
+    U = benchmark(expm_hermitian_i, first_generators, -1.0)
+    assert U.shape == first_generators.shape
+
+
+def test_eig_hermitian(benchmark, first_generators):
+    eig = benchmark(eig_hermitian, first_generators)
+    assert eig.vectors.shape == first_generators.shape

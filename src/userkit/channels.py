@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadLength,
     DegenerateDenominator,
     DimensionMismatch,
     NotHermitian,
@@ -113,9 +114,11 @@ def _unitary_members(matrices) -> _UnitaryMembers:
 
 
 def _checked(U_i, approx_list) -> tuple[np.ndarray, _UnitaryMembers]:
-    """U_i and the members, checked unitary and of one dimension; a checked set,
-    and a U_i drawn from it, pass through."""
+    """U_i and the members, at least one, checked unitary and of one dimension;
+    a checked set, and a U_i drawn from it, pass through."""
     members = _unitary_members(approx_list)
+    if not members:
+        raise BadLength("need at least one ensemble member")
     if not any(U_i is U for U in members):
         U_i = _unitary_members((U_i,))[0]
     if any(U.shape != U_i.shape for U in members):

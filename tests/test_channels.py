@@ -17,6 +17,7 @@ from userkit.channels import (
     twirl_haar_mc,
 )
 from userkit.errors import (
+    BadLength,
     DegenerateDenominator,
     DimensionMismatch,
     NotHermitian,
@@ -153,6 +154,11 @@ class TestSearErrorChannel:
         with pytest.raises(DimensionMismatch):
             sear_error_channel(np.eye(2), [np.eye(2), np.eye(3)])
 
+    @pytest.mark.filterwarnings("error")  # not numpy's divide-by-zero warning either
+    def test_empty_member_list(self):
+        with pytest.raises(BadLength, match="at least one"):
+            sear_error_channel(np.eye(2), [])
+
 
 class TestComplementaryChannel:
     def test_single_member_identity(self, rng):
@@ -206,6 +212,12 @@ class TestTwirlAnalytic:
             twirl_analytic(np.eye(2), [np.eye(3)])
         with pytest.raises(DimensionMismatch):
             twirl_analytic(np.eye(3), [np.eye(3), np.eye(2)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_member_list(self):
+        # the package's error, not a bare ZeroDivisionError
+        with pytest.raises(BadLength, match="at least one"):
+            twirl_analytic(np.eye(2), [])
 
 
 class TestTwirlHaarMc:

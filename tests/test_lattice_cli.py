@@ -447,6 +447,15 @@ class TestCli:
         assert json.loads(doc)["per_k"] == [0.0] * 4
         assert json.loads((tmp_path / "run" / "result.json").read_text())["error_bar"] == 0.0
 
+    def test_twirl_generator_beyond_squaring_bound_exit_3(self, tmp_path, capsys):
+        # mass 1e-300 puts the step generators' 1-norm near 1e298: far more
+        # squarings than keep e^{-iG} unitary, so the twirl set is refused
+        cfg_path = write_config(tmp_path, "noisy-16", twirl_mode="simulable", n_t=2, mass=1e-300)
+        assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "SpectrumOutOfRange"
+        assert "squarings" in diag["message"]
+
     def test_haar_epsilon_reads_no_probe_or_observable(self, tmp_path):
         # The closed-form Haar twirl reads neither, so momentum-proxy runs too:
         # every probe the config can express is real and gives <p> = Tr[p]/d,
