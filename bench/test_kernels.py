@@ -15,13 +15,14 @@ with `twirl_mode: simulable`, `n_t: 64`; `time_ordered_evolve` builds one
 member of the simulable twirl set (`twirl_mode: simulable`, `TWIRL_STEPS` = 16
 fourth-order Magnus steps) of `noisy-16` at d=16 and at n_sites=128;
 `magnus_truncated` forms the order-2 Magnus operator of the lattice family at
-the same drive, on the 128-step grid the drive-fit designer uses, at d=16 and
-at n_sites=128; `expm_hermitian_i` exponentiates the first block of step
-generators `G_n` that `time_ordered_evolve` exponentiates at once for that
-member (a stack of 16 at d=16 and one matrix at n_sites=128), from matrix
-products, and `eig_hermitian` decomposes the same block, as `run_sear`'s
-exact reference decomposes `A`.  `bench/` is outside the test suite's
-`testpaths`, so a plain `pytest` run skips it.
+the same drive, on a 128-step midpoint grid (acceptance criterion 3 and
+`scripts/magnus_slopes.py` use 1,024 steps), at d=16 and at n_sites=128;
+`expm_hermitian_i` exponentiates the first block of step generators `G_n` that
+`time_ordered_evolve` exponentiates at once for that member (a stack of 16 at
+d=16 and one matrix at n_sites=128), from matrix products, and `eig_hermitian`
+decomposes the same block, as `run_sear`'s exact reference decomposes `A`.
+`bench/` is outside the test suite's `testpaths`, so a plain `pytest` run
+skips it.
 """
 
 import numpy as np

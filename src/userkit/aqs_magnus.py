@@ -1,7 +1,11 @@
 """Analog-simulator model: driven Hamiltonian families, time-ordered evolution
-by the fourth-order Magnus integrator, the first two Magnus terms, and
-sequence designers that assemble approximate discretization unitaries from
-simulable evolutions.
+by the fourth-order Magnus integrator, the first two Magnus terms, and the
+synthetic sequence designer.
+
+The truncated Magnus operators are measured against the time-ordered
+evolution (acceptance criterion 3, `scripts/magnus_slopes.py`); no designer
+reads them.  `design_sequence` builds each member's pulses from the target
+plus a seeded defect, not from drives.
 
 Sign convention throughout: U(t) = e^{+i M(t)} with Omega_1 = -int_0^t H, so
 that e^{i Omega_1} = e^{-i int H} for commuting families.
@@ -11,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import pi, sqrt
-from typing import Optional
 
 import numpy as np
 
@@ -67,7 +70,6 @@ class SequencePlan:
 
     magnus_terms: tuple
     residual: float
-    specs: Optional[tuple] = None  # EvolutionSpec per member in drive-fit mode
 
 
 def _drive(gamma: float, t: float, n_steps: int) -> tuple[np.ndarray, float]:
@@ -188,49 +190,6 @@ def design_sequence(
         defect_sum = defect_sum + G
     residual = _norm_hermitian(defect_sum)
     return SequencePlan(magnus_terms=tuple(terms), residual=residual)
-
-
-def design_sequence_drive_fit(
-    fam: HamiltonianFamily,
-    target_A: np.ndarray,
-    lam: float,
-    kappa: int,
-    n_s: int = 2,
-    seed: int = 0,
-    n_steps: int = 128,
-    max_iter: int = 200,
-) -> SequencePlan:
-    """Drive-fit designer: least-squares fit of (omega, t) per member so that the
-    truncated Magnus operators sum close to pi*lam*A.  Best-effort only; the
-    residual is reported, no optimality is claimed."""
-    from scipy.optimize import minimize
-
-    target_A = _check_target(target_A)
-    target = pi * lam * target_A
-    rng = np.random.default_rng(seed)
-    x0 = np.concatenate(
-        [1.0 + rng.random(n_s), 0.2 + 0.1 * rng.random(n_s)]  # omegas, times
-    )
-
-    def terms_for(x: np.ndarray) -> list[np.ndarray]:
-        omegas, times = x[:n_s], np.abs(x[n_s:]) + 1e-6
-        return [
-            magnus_truncated(fam, float(w), float(t), kappa, n_steps)
-            for w, t in zip(omegas, times)
-        ]
-
-    def objective(x: np.ndarray) -> float:
-        return float(np.linalg.norm(sum(terms_for(x)) - target, "fro"))
-
-    res = minimize(objective, x0, method="Nelder-Mead", options={"maxiter": max_iter, "xatol": 1e-8, "fatol": 1e-12})
-    x = res.x
-    terms = terms_for(x)
-    residual = _norm_hermitian(sum(terms) - target)
-    specs = tuple(
-        EvolutionSpec(gamma=float(w), t_final=float(abs(t)) + 1e-6, n_steps=n_steps)
-        for w, t in zip(x[:n_s], x[n_s:])
-    )
-    return SequencePlan(magnus_terms=tuple(terms), residual=residual, specs=specs)
 
 
 def approx_discretization_unitary(plan: SequencePlan) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Density matrices, Kraus channels, the ensemble-defect ("SEAR error")
-channels, depolarizing twirls, and noise-strength extraction.
+"""Kraus channels, the ensemble-defect ("SEAR error") channels, depolarizing
+twirls, and noise-strength extraction.  No run builds a `DensityMatrix`; the
+test references built on it live in `oracle`.
 
 Kraus normalization note: the mixed-unitary defect channel built from n_a
 unitaries uses 1/sqrt(n_a) per Kraus operator, which is what makes the channel
@@ -21,7 +22,6 @@ from .errors import (
     NotTracePreserving,
     NotUnitary,
     TraceViolation,
-    UnphysicalEpsilon,
 )
 from .matrix_core import as_matrix, is_unitary
 from .user_recon import Observable, PureState
@@ -75,30 +75,6 @@ class DepolarizingEstimate:
     stderr: float
 
 
-def density_from_pure(psi: PureState) -> DensityMatrix:
-    a = psi.amplitudes
-    return DensityMatrix(np.outer(a, a.conj()))
-
-
-def expectation(rho: DensityMatrix, O: Observable) -> float:
-    if rho.dim != O.dim:
-        raise DimensionMismatch(f"dims differ: rho {rho.dim}, observable {O.dim}")
-    val = complex(np.trace(rho.matrix @ O.matrix))
-    if abs(val.imag) >= 1e-10:
-        raise NotHermitian(f"Tr[rho O] has imaginary residue {val.imag:.3e}; observable is not Hermitian")
-    return val.real
-
-
-def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    if ch.dim != rho.dim:
-        raise DimensionMismatch("channel/state dimensions differ")
-    out = sum(K @ rho.matrix @ K.conj().T for K in ch.kraus)
-    tr = complex(np.trace(out))
-    if abs(tr - 1.0) > 1e-6:
-        raise TraceViolation(f"output trace {tr:.8f} deviates from 1")
-    return DensityMatrix(out)
-
-
 class _UnitaryMembers(tuple):
     """Matrices, each already checked unitary."""
 
@@ -150,14 +126,6 @@ def twirl_analytic(U_i, approx_list) -> DepolarizingEstimate:
     return DepolarizingEstimate(epsilon=max(0.0, float(eps)), stderr=0.0)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with phase-fixed R."""
-    Z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    Q, R = np.linalg.qr(Z)
-    phases = np.diag(R) / np.abs(np.diag(R))
-    return Q * phases
-
-
 # Smallest |Tr[O]/d - <psi|O|psi>| from which a noise strength is recovered.
 DENOM_FLOOR = 1e-8
 
@@ -185,21 +153,6 @@ def noise_strength_from_expectation(
     return (comp_value - t1) / denom
 
 
-def twirl_haar_mc(
-    ch: KrausChannel,
-    n_samples: int,
-    seed: int,
-    probe: PureState,
-    O: Observable,
-) -> DepolarizingEstimate:
-    """Monte-Carlo Haar twirl: the discrete twirl over n_samples Haar draws."""
-    if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
-    rng = np.random.default_rng(seed)
-    draws = [haar_unitary(ch.dim, rng) for _ in range(n_samples)]
-    return twirl_discrete(ch, draws, probe, O)
-
-
 def twirl_discrete(
     ch: KrausChannel,
     twirl_set,
@@ -217,7 +170,7 @@ def twirl_discrete(
     which lets a caller twirl several channels over one set checked once.
     """
     if len(twirl_set) == 0:
-        raise ValueError("twirl_set must be nonempty")
+        raise BadLength("need at least one twirl-set member")
     if not ch.dim == probe.dim == O.dim:
         raise DimensionMismatch(f"dims differ: channel {ch.dim}, probe {probe.dim}, observable {O.dim}")
     members = _unitary_members(twirl_set)
@@ -235,12 +188,3 @@ def twirl_discrete(
     eps = noise_strength_from_expectation(values, probe, O)
     stderr = float(np.std(eps, ddof=1) / np.sqrt(eps.size)) if eps.size > 1 else 0.0
     return DepolarizingEstimate(epsilon=float(np.mean(eps)), stderr=stderr)
-
-
-def depolarize(rho: DensityMatrix, epsilon: float) -> DensityMatrix:
-    """Affine mix (1 - eps) rho + eps * Id/d over the physical eps range."""
-    d = rho.dim
-    top = d * d / (d * d - 1.0)  # the largest eps for which the map is still completely positive
-    if not 0.0 <= epsilon <= top + 1e-12:
-        raise UnphysicalEpsilon(f"epsilon {epsilon} outside [0, {top:.6f}] at d={d}")
-    return DensityMatrix((1.0 - epsilon) * rho.matrix + epsilon * np.eye(d) / d)

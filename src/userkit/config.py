@@ -33,6 +33,12 @@ MAX_N_SITES = 256
 # Complex entries the simulable twirl set (n_t matrices of n_sites^2, all built
 # before anything runs) may hold: 1 GiB, so n_t = 1024 at 256 sites.
 MAX_TWIRL_ENTRIES = 1 << 26
+# Complex entries the ensemble design (len(lambdas) * n_s pulse matrices of
+# n_sites^2, all held at once) may hold: 16 MiB, so the default 4 x 4 pulses at
+# 256 sites.  At the limit the design takes 0.4-0.8 s and 20-30 MB from 16
+# sites up, but 6 s at 4 sites and 21 s (61 MB) at 2, where the per-matrix
+# overhead of about 80 us dominates (one CPU, one BLAS thread).
+MAX_DESIGN_ENTRIES = 1 << 20
 REAL_KEYS = ("mass", "spacing", "drive_omega", "slope", "evolution_time", "perturbation")
 
 DEFAULTS = {
@@ -153,6 +159,11 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
         cfg.lattice, cfg.sear
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+    design_entries = len(raw["lambdas"]) * raw["n_s"] * raw["n_sites"] ** 2
+    if design_entries > MAX_DESIGN_ENTRIES:
+        raise ConfigError(
+            f"len(lambdas) * n_s * n_sites^2 = {design_entries} design entries exceed {MAX_DESIGN_ENTRIES}"
+        )
     return cfg
 
 

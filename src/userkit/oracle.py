@@ -1,7 +1,15 @@
 """Independent brute-force references used by the test suite.
 
 Nothing in here touches the sampling/reconstruction code paths; the main
-package must never import this module (tests import both and compare).
+package must never import this module (tests import both and compare).  It
+builds on `channels` and `user_recon`, so imports run one way only:
+`tests/test_oracle.py` checks that `userkit.cli` leaves it unloaded.
+
+The density-matrix references (`density_from_pure`, `expectation`,
+`apply_channel`, `depolarize`) take `channels.DensityMatrix`, which stays in
+`channels` while the benchmark tracer (`perfbench/layertrace.py`,
+`CONSTRUCTORS`) binds it there.  `twirl_haar_mc` twirls through
+`channels.twirl_discrete`, over Haar draws from `mc_haar_unitary`.
 """
 
 from __future__ import annotations
@@ -10,7 +18,9 @@ from math import pi
 
 import numpy as np
 
-from .errors import SpectrumOutOfRange
+from .channels import DensityMatrix, DepolarizingEstimate, KrausChannel, twirl_discrete
+from .errors import DimensionMismatch, NotHermitian, SpectrumOutOfRange, TraceViolation, UnphysicalEpsilon
+from .user_recon import Observable, PureState, SpectralUnitary
 
 
 def exact_intermediate_expectation(psi, O, A) -> float:
@@ -26,10 +36,75 @@ def exact_intermediate_expectation(psi, O, A) -> float:
     return float(np.real(v.conj() @ O @ v))
 
 
-def mc_haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar unitary from Gaussian + QR with the R-diagonal phase correction."""
+def mc_haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Haar unitary from Gaussian + QR with the R-diagonal phase correction.
+
+    `seed` is a seed or a Generator; a Generator is drawn from in place, so
+    successive calls on one Generator give successive draws."""
     rng = np.random.default_rng(seed)
     Z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     Q, R = np.linalg.qr(Z)
     diag = np.diag(R)
     return Q * (diag / np.abs(diag))
+
+
+def multiplicative_expectation(
+    psi: PureState, O: Observable, su: SpectralUnitary, eta: float
+) -> float:
+    """<psi| (U^dag)^eta O U^eta |psi>, evaluated spectrally; real for Hermitian O."""
+    if psi.dim != O.dim or psi.dim != su.dim:
+        raise DimensionMismatch(
+            f"dims differ: state {psi.dim}, observable {O.dim}, unitary {su.dim}"
+        )
+    c = su.basis.conj().T @ psi.amplitudes
+    a = c * np.exp(1j * eta * su.phases)
+    value = complex(a.conj() @ (su.basis.conj().T @ O.matrix @ su.basis) @ a)
+    return value.real
+
+
+def density_from_pure(psi: PureState) -> DensityMatrix:
+    a = psi.amplitudes
+    return DensityMatrix(np.outer(a, a.conj()))
+
+
+def expectation(rho: DensityMatrix, O: Observable) -> float:
+    if rho.dim != O.dim:
+        raise DimensionMismatch(f"dims differ: rho {rho.dim}, observable {O.dim}")
+    val = complex(np.trace(rho.matrix @ O.matrix))
+    if abs(val.imag) >= 1e-10:
+        raise NotHermitian(f"Tr[rho O] has imaginary residue {val.imag:.3e}; observable is not Hermitian")
+    return val.real
+
+
+def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    if ch.dim != rho.dim:
+        raise DimensionMismatch("channel/state dimensions differ")
+    out = sum(K @ rho.matrix @ K.conj().T for K in ch.kraus)
+    tr = complex(np.trace(out))
+    if abs(tr - 1.0) > 1e-6:
+        raise TraceViolation(f"output trace {tr:.8f} deviates from 1")
+    return DensityMatrix(out)
+
+
+def depolarize(rho: DensityMatrix, epsilon: float) -> DensityMatrix:
+    """Affine mix (1 - eps) rho + eps * Id/d over the physical eps range."""
+    d = rho.dim
+    top = d * d / (d * d - 1.0)  # the largest eps for which the map is still completely positive
+    if not 0.0 <= epsilon <= top + 1e-12:
+        raise UnphysicalEpsilon(f"epsilon {epsilon} outside [0, {top:.6f}] at d={d}")
+    return DensityMatrix((1.0 - epsilon) * rho.matrix + epsilon * np.eye(d) / d)
+
+
+def twirl_haar_mc(
+    ch: KrausChannel,
+    n_samples: int,
+    seed: int,
+    probe: PureState,
+    O: Observable,
+) -> DepolarizingEstimate:
+    """Monte-Carlo Haar twirl: the discrete twirl over n_samples Haar draws."""
+    if n_samples < 100:
+        raise ValueError("n_samples must be >= 100")
+    rng = np.random.default_rng(seed)
+    draws = [mc_haar_unitary(ch.dim, rng) for _ in range(n_samples)]
+    return twirl_discrete(ch, draws, probe, O)

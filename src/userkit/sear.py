@@ -18,7 +18,7 @@ import numpy as np
 from .aqs_magnus import SequencePlan, _check_target, approx_discretization_unitary, design_sequence
 from .channels import _unitary_members, sear_error_channel, twirl_analytic, twirl_discrete
 from .matrix_core import TOL_EIG, eig_hermitian, finite_floats
-from .user_recon import Observable, PureState, user_reconstruct
+from .user_recon import Observable, PureState, required_n_l, user_reconstruct
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,8 @@ def run_sear(
     eig_A = eig_hermitian(target_A)
     spread_A = float(np.ptp(eig_A.values))
     deltas = [band_slack(spread_A, lam, config.n_s, config.perturbation) for lam in config.lambdas]
+    for lam, delta in zip(config.lambdas, deltas):  # refuse any member's grid before designing one
+        required_n_l(lam, delta)
     approx_list = generate_approx_unitaries(target_A, config)
     members = [
         user_reconstruct(psi, O, U_sd, lam, delta)

@@ -130,20 +130,6 @@ def unitary_power(su: SpectralUnitary, eta: float) -> np.ndarray:
     return (su.basis * np.exp(1j * eta * su.phases)) @ su.basis.conj().T
 
 
-def multiplicative_expectation(
-    psi: PureState, O: Observable, su: SpectralUnitary, eta: float
-) -> float:
-    """<psi| (U^dag)^eta O U^eta |psi>, evaluated spectrally; real for Hermitian O."""
-    if psi.dim != O.dim or psi.dim != su.dim:
-        raise DimensionMismatch(
-            f"dims differ: state {psi.dim}, observable {O.dim}, unitary {su.dim}"
-        )
-    c = su.basis.conj().T @ psi.amplitudes
-    a = c * np.exp(1j * eta * su.phases)
-    value = complex(a.conj() @ (su.basis.conj().T @ O.matrix @ su.basis) @ a)
-    return value.real
-
-
 def aliasing_rate(su: SpectralUnitary) -> float:
     """pi / P: the largest alias-free sampling step of the multiplicative family."""
     P = phase_separation(su)

@@ -16,21 +16,19 @@ import pytest
 from conftest import no_defect_slack, random_hermitian, random_state, random_target_A
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
-from userkit.channels import (
-    density_from_pure,
-    depolarize,
-    expectation,
-    haar_unitary,
-    noise_strength_from_expectation,
-    sear_error_channel,
-    twirl_analytic,
-    twirl_haar_mc,
-)
+from userkit.channels import noise_strength_from_expectation, sear_error_channel, twirl_analytic
 from userkit.cli import main
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import LatticeSpec, build_lattice_family
 from userkit.matrix_core import expm_hermitian_i
-from userkit.oracle import exact_intermediate_expectation, mc_haar_unitary
+from userkit.oracle import (
+    density_from_pure,
+    depolarize,
+    exact_intermediate_expectation,
+    expectation,
+    mc_haar_unitary,
+    twirl_haar_mc,
+)
 from userkit.sear import SearConfig, run_sear
 from userkit.user_recon import (
     Observable,
@@ -187,7 +185,7 @@ def test_criterion_6_error_bar_identity():
         A = random_target_A(rng, d, min_gap=0.2)
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
-        twirl = [haar_unitary(d, rng) for _ in range(4)]
+        twirl = [mc_haar_unitary(d, rng) for _ in range(4)]
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-3, seed=i, n_s=2)
         res = run_sear(A, psi, O, twirl, cfg)
         worst = max(worst, abs(res.error_bar - res.noise_strength * res.spread))

@@ -10,7 +10,6 @@ from userkit.aqs_magnus import (
     SequencePlan,
     approx_discretization_unitary,
     design_sequence,
-    design_sequence_drive_fit,
     magnus_omega1,
     magnus_omega2,
     magnus_truncated,
@@ -333,23 +332,6 @@ class TestApproxDiscretizationUnitary:
         M = magnus_truncated(fam, 1.0, 0.9, 2, n_steps=1024)
         U_direct = time_ordered_evolve(fam, EvolutionSpec(gamma=1.0, t_final=0.9, n_steps=1024))
         assert np.max(np.abs(expm_hermitian_i(M, 1.0) - U_direct)) < 1e-6
-
-
-class TestDriveFit:
-    def test_residual_reported_and_members_simulable(self):
-        spec = LatticeSpec(n_sites=4)
-        fam = build_lattice_family(spec)
-        from userkit.lattice import build_target_hamiltonian, target_A_from_hamiltonian
-
-        A, _ = target_A_from_hamiltonian(build_target_hamiltonian(spec), 0.5)
-        plan = design_sequence_drive_fit(fam, A, 0.2, 2, n_s=2, seed=0, n_steps=64, max_iter=150)
-        assert plan.specs is not None and len(plan.specs) == 2
-        assert plan.residual >= 0.0
-        target = np.pi * 0.2 * A
-        assert np.linalg.norm(sum(plan.magnus_terms) - target, 2) == pytest.approx(
-            plan.residual, rel=1e-6
-        )
-        assert is_unitary(approx_discretization_unitary(plan))
 
 
 def test_random_target_A_gives_up(rng):

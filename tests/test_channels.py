@@ -5,16 +5,10 @@ from userkit.channels import (
     DensityMatrix,
     KrausChannel,
     _UnitaryMembers,
-    apply_channel,
-    density_from_pure,
-    depolarize,
-    expectation,
-    haar_unitary,
     noise_strength_from_expectation,
     sear_error_channel,
     twirl_analytic,
     twirl_discrete,
-    twirl_haar_mc,
 )
 from userkit.errors import (
     BadLength,
@@ -27,6 +21,14 @@ from userkit.errors import (
     UnphysicalEpsilon,
 )
 from userkit.matrix_core import expm_hermitian_i
+from userkit.oracle import (
+    apply_channel,
+    density_from_pure,
+    depolarize,
+    expectation,
+    mc_haar_unitary,
+    twirl_haar_mc,
+)
 from userkit.user_recon import Observable, PureState
 from conftest import random_hermitian, random_state
 
@@ -42,7 +44,7 @@ def non_hermitian_observable():
 
 
 def random_unitaries(rng, d, n):
-    return [haar_unitary(d, rng) for _ in range(n)]
+    return [mc_haar_unitary(d, rng) for _ in range(n)]
 
 
 def random_mixed_unitary(rng, d, n):
@@ -102,7 +104,7 @@ class TestApplyChannel:
 
     def test_single_unitary(self, rng):
         rho = density_from_pure(PureState(random_state(rng, 3)))
-        U = haar_unitary(3, rng)
+        U = mc_haar_unitary(3, rng)
         out = apply_channel(KrausChannel((U,)), rho)
         assert np.allclose(out.matrix, U @ rho.matrix @ U.conj().T)
 
@@ -119,7 +121,7 @@ class TestApplyChannel:
 
 class TestSearErrorChannel:
     def test_identity_cases(self, rng):
-        U_i = haar_unitary(3, rng)
+        U_i = mc_haar_unitary(3, rng)
         for approx in ([U_i], [U_i, U_i]):
             ch = sear_error_channel(U_i, approx)
             rho = density_from_pure(PureState(random_state(rng, 3)))
@@ -162,12 +164,12 @@ class TestSearErrorChannel:
 
 class TestComplementaryChannel:
     def test_single_member_identity(self, rng):
-        U = haar_unitary(2, rng)
+        U = mc_haar_unitary(2, rng)
         ch = sear_error_channel(U, [U])
         assert np.allclose(ch.kraus[0], np.eye(2))
 
     def test_kth_kraus_is_identity(self, rng):
-        approx = [haar_unitary(3, rng) for _ in range(4)]
+        approx = [mc_haar_unitary(3, rng) for _ in range(4)]
         for k in range(4):
             ch = sear_error_channel(approx[k], approx)
             assert np.allclose(ch.kraus[k], np.eye(3) / 2.0, atol=1e-12)
@@ -270,7 +272,7 @@ class TestTwirlDiscrete:
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
         rng2 = np.random.default_rng(99)
-        twirl_set = [haar_unitary(d, rng2) for _ in range(500)]
+        twirl_set = [mc_haar_unitary(d, rng2) for _ in range(500)]
         est_d = twirl_discrete(ch, twirl_set, psi, O)
         est_mc = twirl_haar_mc(ch, 2000, seed=1, probe=psi, O=O)
         sigma = np.hypot(est_d.stderr, est_mc.stderr)
@@ -281,7 +283,7 @@ class TestTwirlDiscrete:
         ch = random_mixed_unitary(rng, d, 2)
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
-        ts = [haar_unitary(d, rng) for _ in range(20)]
+        ts = [mc_haar_unitary(d, rng) for _ in range(20)]
         e1 = twirl_discrete(ch, ts, psi, O).epsilon
         e2 = twirl_discrete(ch, ts[::-1], psi, O).epsilon
         assert abs(e1 - e2) < 1e-12
@@ -314,7 +316,7 @@ class TestTwirlKernel:
         ch = random_mixed_unitary(rng, d, 4) if kind == "mixed_unitary" else amplitude_damping_d3(0.3)
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
-        twirl_set = [haar_unitary(d, rng) for _ in range(40)]
+        twirl_set = [mc_haar_unitary(d, rng) for _ in range(40)]
         est = twirl_discrete(ch, twirl_set, psi, O)
         eps, stderr = brute_force_twirl(ch, twirl_set, psi, O)
         assert est.epsilon == pytest.approx(eps, rel=1e-12)
@@ -352,7 +354,7 @@ class TestTwirlKernel:
 
     def test_empty_twirl_set(self, rng):
         ch = KrausChannel((np.eye(2, dtype=complex),))
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(BadLength, match="twirl-set member"):
             twirl_discrete(ch, [], PureState(random_state(rng, 2)), Observable(Z))
 
 

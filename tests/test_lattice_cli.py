@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from userkit import config as config_module
+from userkit import sear as sear_module
 from userkit.cli import main
 from userkit.config import (
     KNOWN_KEYS,
+    MAX_DESIGN_ENTRIES,
     SCHEMA_VERSION,
     Experiment,
     load_config,
@@ -147,6 +149,16 @@ class TestConfig:
         assert resolve_config({"n_t": 10**9}).raw["n_t"] == 10**9
         with pytest.raises(ConfigError, match="n_t"):
             resolve_config({"n_t": 0})
+
+    def test_design_limit(self):
+        # resolve_config designs nothing, so no call here runs a design; the
+        # default 4 x 4 pulses at 256 sites sit exactly on the limit
+        assert 4 * 4 * 256**2 == MAX_DESIGN_ENTRIES
+        assert resolve_config({"n_sites": 256}).raw["n_s"] == 4
+        assert resolve_config({"n_sites": 4, "n_s": 16384}).raw["n_s"] == 16384
+        for overrides in ({"n_sites": 256, "n_s": 5}, {"n_sites": 4, "n_s": 16385}, {"lambdas": [0.2] * 1025}):
+            with pytest.raises(ConfigError, match="design entries"):
+                resolve_config(overrides)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -400,6 +412,36 @@ class TestCli:
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["error"] == "GridTooLarge"
         assert all(word in diag["message"] for word in words)
+
+    @pytest.fixture
+    def design_calls(self, monkeypatch):
+        calls = []
+        design = sear_module.design_sequence
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return design(*args, **kwargs)
+
+        monkeypatch.setattr(sear_module, "design_sequence", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["run", "twirl"])
+    def test_oversized_ensemble_exit_2_before_design(self, tmp_path, capsys, design_calls, command):
+        cfg_path = write_config(tmp_path, "exact-small", n_sites=4, n_s=200000)
+        assert main([command, str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "design entries" in capsys.readouterr().err
+        assert design_calls == []
+
+    def test_negative_slack_exit_3_before_design(self, tmp_path, capsys, design_calls):
+        # band slack pi (1 - lam spread(A)) - 2 * 200 * 0.01 < 0 for every
+        # member: run refuses the grids before any member is designed, while
+        # twirl samples no grid and runs
+        cfg_path = write_config(tmp_path, "exact-small", n_sites=4, n_s=200, perturbation=0.01)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "GridTooLarge"
+        assert design_calls == []
+        assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "twirl")]) == 0
+        assert len(design_calls) == 4
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_off_grid_lambdas_exact(self, tmp_path, seed):

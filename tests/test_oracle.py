@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,3 +72,11 @@ class TestDependencyDirection:
                 assert not any("oracle" in n for n in names), (
                     f"{path.name} imports oracle"
                 )
+
+    def test_cli_leaves_oracle_unloaded(self):
+        # oracle imports channels and user_recon; no module the CLI loads may
+        # import it back, however indirectly
+        code = "import sys, userkit.cli; print('userkit.oracle' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

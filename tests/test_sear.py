@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from userkit.aqs_magnus import approx_discretization_unitary, design_sequence
-from userkit.channels import haar_unitary, sear_error_channel, twirl_analytic
+from userkit.channels import sear_error_channel, twirl_analytic
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
+from userkit.oracle import mc_haar_unitary
 from userkit.sear import SearConfig, band_slack, estimate_noise_strength, generate_approx_unitaries, run_sear
 from userkit.user_recon import Observable, PureState, required_n_l, user_reconstruct
 from conftest import random_hermitian, random_state, random_target_A
@@ -20,7 +21,7 @@ def make_problem(rng, d=4):
 
 def haar_twirl_set(d, n, seed):
     rng = np.random.default_rng(seed)
-    return [haar_unitary(d, rng) for _ in range(n)]
+    return [mc_haar_unitary(d, rng) for _ in range(n)]
 
 
 def spread_of(A):
@@ -134,6 +135,17 @@ class TestEstimateNoiseStrength:
         twirl_set = haar_twirl_set(4, 5, 1) + [1.1 * np.eye(4)]
         with pytest.raises(NotUnitary):
             estimate_noise_strength(approx, twirl_set, psi, O)
+
+    def test_empty_twirl_set_raises_bad_length(self, rng):
+        # a zero-spread observable reads no set, so an empty one passes there
+        from userkit.errors import BadLength
+
+        A, psi, O = make_problem(rng)
+        approx = generate_approx_unitaries(A, SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4))
+        assert O.spread() > 0
+        with pytest.raises(BadLength, match="twirl-set member"):
+            estimate_noise_strength(approx, [], psi, O)
+        assert estimate_noise_strength(approx, [], psi, Observable(2.5 * np.eye(4))) == (0.0, [0.0, 0.0])
 
     def test_zero_spread_non_unitary_twirl_member_raises(self, rng):
         # the explicit set is checked before the zero-spread shortcut returns
@@ -319,7 +331,7 @@ class TestNoiseStageInvariants:
         # members U_a = e^{i scale H_a} U_i: the overlap form equals F_e read off
         # the Kraus operators of sear_error_channel, and eps is physical
         rng = np.random.default_rng(seed)
-        U_i = haar_unitary(d, rng)
+        U_i = mc_haar_unitary(d, rng)
         approx = [expm_hermitian_i(random_hermitian(rng, d), scale) @ U_i for _ in range(n_a)]
         F_e = sum(abs(np.trace(K)) ** 2 for K in sear_error_channel(U_i, approx).kraus) / d**2
         eps = twirl_analytic(U_i, approx).epsilon

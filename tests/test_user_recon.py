@@ -14,7 +14,7 @@ from userkit.errors import (
     NotUnitary,
 )
 from userkit.matrix_core import HermitianEig, eig_hermitian, expm_hermitian_i
-from userkit.oracle import exact_intermediate_expectation
+from userkit.oracle import exact_intermediate_expectation, multiplicative_expectation
 from userkit.user_recon import (
     MAX_GRID_SAMPLES,
     RECON_TOL,
@@ -22,7 +22,6 @@ from userkit.user_recon import (
     PureState,
     SpectralUnitary,
     aliasing_rate,
-    multiplicative_expectation,
     phase_separation,
     required_n_l,
     sample_integer_powers,
