@@ -2,16 +2,22 @@
 
     python -m pytest bench --benchmark-only
 
-`sample_integer_powers` runs on the grid of the last ensemble member
-(lambda = 0.1, the longest grid) of the `noisy-16` preset at d=16 and of the
-same config at n_sites=128, and `sinc_reconstruct` interpolates the value at
-eta = 1 from that member's samples; the haar noise stage,
+`generate_approx_unitaries` designs the whole ensemble of the `noisy-16`
+preset (four members of `n_s = 4` pulses each: the pulse exponentials, their
+product `U_sd` and `U_k = U_sd^tau`) at d=16 and at n_sites=128, as `userkit
+twirl` does; `run` designs the same ensemble after checking `A` from its one
+decomposition.  `sample_integer_powers` runs on the grid of the last ensemble
+member (lambda = 0.1, the longest grid) of the `noisy-16` preset at d=16 and of
+the same config at n_sites=128, and `sinc_reconstruct` interpolates the value
+at eta = 1 from that member's samples; the haar noise stage,
 `estimate_noise_strength(approx, None, psi, O)` as `run` calls it in
-`twirl_mode: haar` (the ensemble checked once, then `twirl_analytic` per member
-from the members' overlaps), runs on the whole ensemble of `noisy-16` at d=16
-and at n_sites=128; `twirl_discrete` runs on the defect channel measured against
-the first member at d=16 over the 64-member simulable twirl set of `noisy-16`
-with `twirl_mode: simulable`, `n_t: 64`; `time_ordered_evolve` builds one
+`twirl_mode: haar` (the ensemble checked once, then every member's closed form
+at once from the stacked members' overlaps, `twirl_analytic_all`), runs on the
+whole ensemble of `noisy-16` at d=16 and at n_sites=128; `twirl_discrete`
+runs on the defect channel measured against the first member at d=16 over the
+64-member simulable twirl set of `noisy-16` with `twirl_mode: simulable`,
+`n_t: 64` (the set checked in each call, `chi` formed for all members at
+once); `time_ordered_evolve` builds one
 member of the simulable twirl set (`twirl_mode: simulable`, `TWIRL_STEPS` = 16
 fourth-order Magnus steps) of `noisy-16` at d=16 and at n_sites=128;
 `magnus_truncated` forms the order-2 Magnus operator of the lattice family at
@@ -49,6 +55,14 @@ def last_member(request):
     exp, approx = noisy_experiment(request.param)
     res = run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
     return exp, approx[-1][1], res.per_sample[-1]
+
+
+@pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])
+def test_generate_approx_unitaries(benchmark, n_sites):
+    raw = dict(preset_config("noisy-16").raw, n_sites=n_sites)
+    exp = Experiment.from_config(resolve_config(raw))
+    approx = benchmark(generate_approx_unitaries, exp.target_A, exp.sear)
+    assert len(approx) == len(exp.sear.lambdas)
 
 
 def test_sample_integer_powers(benchmark, last_member):

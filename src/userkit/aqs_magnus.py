@@ -19,7 +19,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
-from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, expm_hermitian_i, hermiticity_defect
+from .matrix_core import TOL_EIG, as_matrix, expm_hermitian_i, hermiticity_defect
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,21 @@ class EvolutionSpec:
 
 @dataclass(frozen=True)
 class SequencePlan:
-    """A sequence of simulable members whose truncated Magnus operators sum to
-    (approximately) pi * lam * A; `residual` is the honest operator-norm defect."""
+    """A member's pulses M_xi = pi lam A / n_s + defect_xi, whose sum is
+    (approximately) pi * lam * A.  `target_A` is the designer's A itself, shared
+    by every member, not a copy."""
 
     magnus_terms: tuple
-    residual: float
+    target_A: np.ndarray
+    lam: float
+
+    @property
+    def residual(self) -> float:
+        """The operator-norm defect ||sum_xi defect_xi||_2, computed when read:
+        each defect is its pulse less the share of the target, formed as the
+        designer formed it, so a plan with no defect reads exactly 0."""
+        base = (pi * self.lam / len(self.magnus_terms)) * self.target_A
+        return _norm_hermitian(sum(M - base for M in self.magnus_terms))
 
 
 def _drive(gamma: float, t: float, n_steps: int) -> tuple[np.ndarray, float]:
@@ -152,12 +162,11 @@ def _norm_hermitian(G: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(G))))
 
 
-def _check_target(target_A: np.ndarray) -> np.ndarray:
-    target_A = as_matrix(target_A)
-    w = eig_hermitian(target_A).values
-    if float(np.max(np.abs(w))) > 1.0 + TOL_EIG:
-        raise SpectrumOutOfRange(f"target spectrum radius {np.max(np.abs(w)):.6f} > 1")
-    return target_A
+def _check_target_spectrum(eigenvalues: np.ndarray) -> None:
+    """SpectrumOutOfRange unless the target's eigenvalues lie in [-1, 1] (within TOL_EIG)."""
+    radius = float(np.max(np.abs(eigenvalues)))
+    if radius > 1.0 + TOL_EIG:
+        raise SpectrumOutOfRange(f"target spectrum radius {radius:.6f} > 1")
 
 
 def design_sequence(
@@ -178,7 +187,6 @@ def design_sequence(
     rng = np.random.default_rng(seed)
     base = (pi * lam / n_s) * target_A
     terms = []
-    defect_sum = np.zeros_like(target_A)
     for _ in range(n_s):
         if perturbation > 0:
             G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -187,14 +195,14 @@ def design_sequence(
         else:
             G = np.zeros_like(target_A)
         terms.append(base + G)
-        defect_sum = defect_sum + G
-    residual = _norm_hermitian(defect_sum)
-    return SequencePlan(magnus_terms=tuple(terms), residual=residual)
+    return SequencePlan(magnus_terms=tuple(terms), target_A=target_A, lam=lam)
 
 
 def approx_discretization_unitary(plan: SequencePlan) -> np.ndarray:
-    """Ordered product prod_xi e^{i M_xi}; always unitary by construction."""
-    U = np.eye(plan.magnus_terms[0].shape[0], dtype=complex)
-    for M in plan.magnus_terms:
+    """Ordered product prod_xi e^{i M_xi}, latest pulse leftmost; always unitary
+    by construction."""
+    first, *rest = plan.magnus_terms
+    U = expm_hermitian_i(first, 1.0)
+    for M in rest:
         U = expm_hermitian_i(M, 1.0) @ U
     return U

@@ -23,7 +23,7 @@ from .errors import (
     NotUnitary,
     TraceViolation,
 )
-from .matrix_core import as_matrix, is_unitary
+from .matrix_core import TOL_UNITARY, _as_square, as_matrix
 from .user_recon import Observable, PureState
 
 
@@ -76,17 +76,48 @@ class DepolarizingEstimate:
 
 
 class _UnitaryMembers(tuple):
-    """Matrices, each already checked unitary."""
+    """Matrices, each already checked unitary, and `stack`, the same matrices as
+    one (n, d, d) array; the tuple's items are views into it."""
+
+    stack: np.ndarray
+
+    def __new__(cls, matrices):
+        stack = np.asarray(matrices, dtype=complex)  # an (n, d, d) complex array is not copied
+        members = super().__new__(cls, stack)
+        members.stack = stack
+        return members
+
+
+# Largest number of matrix entries a stacked product over members takes at
+# once: 64 KB of complex numbers, 16 members at d=16 and one from d=64 up, so
+# a check or a twirl holds little more than the members themselves.
+_BLOCK_ENTRIES = 1 << 12
 
 
 def _unitary_members(matrices) -> _UnitaryMembers:
-    """Convert and check each matrix once; a set already checked passes through."""
+    """Convert the matrices (an (n, d, d) array in place, not copied), check
+    that they have one shape, and check them unitary a block of members per
+    stacked product; a set already checked passes through."""
     if isinstance(matrices, _UnitaryMembers):
         return matrices
-    members = _UnitaryMembers(as_matrix(W) for W in matrices)
-    if not all(is_unitary(W) for W in members):
-        raise NotUnitary("member is not unitary")
-    return members
+    if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
+        matrices = _as_square(matrices, (3,))
+    else:
+        matrices = [as_matrix(W) for W in matrices]
+        if len({W.shape for W in matrices}) > 1:
+            raise DimensionMismatch("members differ in dimension")
+    rows = max(1, _BLOCK_ENTRIES // max(1, matrices[0].size)) if len(matrices) else 1
+    for start in range(0, len(matrices), rows):
+        if _unitarity_defect(np.asarray(matrices[start : start + rows])) > TOL_UNITARY:
+            raise NotUnitary("member is not unitary")
+    return _UnitaryMembers(matrices)
+
+
+def _unitarity_defect(block: np.ndarray) -> float:
+    """Largest entry of |W W^dag - I| over an (n, d, d) block."""
+    G = block @ block.conj().swapaxes(-1, -2)
+    np.einsum("nii->ni", G)[...] -= 1.0
+    return float(np.max(np.abs(G)))
 
 
 def _checked(U_i, approx_list) -> tuple[np.ndarray, _UnitaryMembers]:
@@ -113,17 +144,42 @@ def sear_error_channel(U_i, approx_list) -> KrausChannel:
     return KrausChannel(tuple(w * (U @ U_i.conj().T) for U in members))
 
 
+def _haar_strengths(U_rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The closed-form Haar twirl of sear_error_channel(U_i, members) for each
+    U_i of the (m, d, d) stack U_rows, against the (n, d, d) stack members
+    (Nielsen, PLA 303 (2002)): eps = d^2 (1 - F_e) / (d^2 - 1) with the
+    entanglement fidelity F_e = sum_a |Tr U_a U_i^dag|^2 / (n d^2) <= 1, so a
+    negative eps is rounding and reads 0.  np.vecdot takes every overlap of a
+    block of rows with all members in one call, conjugating as it goes; each
+    overlap is np.vdot(U_i, U_a) bit for bit, however the rows are blocked."""
+    n, d = members.shape[0], members.shape[-1]
+    rows = U_rows.reshape(-1, 1, d * d)
+    cols = members.reshape(1, n, d * d)
+    F_e = np.empty(len(rows))
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, len(rows), step):
+        T = np.vecdot(rows[start : start + step], cols)  # T[i, a] = Tr U_i^dag U_a
+        F_e[start : start + step] = np.sum(np.abs(T) ** 2, axis=1)
+    F_e /= n * d * d
+    return np.maximum(0.0, d * d * (1.0 - F_e) / (d * d - 1.0))
+
+
 def twirl_analytic(U_i, approx_list) -> DepolarizingEstimate:
-    """Closed-form Haar twirl of sear_error_channel(U_i, approx_list), without
-    building it (Nielsen, PLA 303 (2002)): eps = d^2 (1 - F_e) / (d^2 - 1) with
-    the entanglement fidelity F_e = sum_a |Tr U_a U_i^dag|^2 / (n_a d^2) <= 1,
-    so a negative eps is rounding and reads 0.  Checked against the Monte-Carlo
-    twirl in the test suite."""
+    """Closed-form Haar twirl of sear_error_channel(U_i, approx_list), from the
+    overlaps Tr U_a U_i^dag alone, without building the channel (the formula is
+    at `_haar_strengths`).  Checked against the Monte-Carlo twirl in the test
+    suite."""
     U_i, members = _checked(U_i, approx_list)
-    d = U_i.shape[0]
-    F_e = sum(abs(np.vdot(U_i, U)) ** 2 for U in members) / (len(members) * d * d)
-    eps = d * d * (1.0 - F_e) / (d * d - 1.0)
-    return DepolarizingEstimate(epsilon=max(0.0, float(eps)), stderr=0.0)
+    return DepolarizingEstimate(epsilon=float(_haar_strengths(U_i[None], members.stack)[0]), stderr=0.0)
+
+
+def twirl_analytic_all(approx_list) -> np.ndarray:
+    """twirl_analytic(U_k, approx_list).epsilon for every member U_k, bit for bit,
+    from the stacked members, with no Python loop over pairs."""
+    members = _unitary_members(approx_list)
+    if not members:
+        raise BadLength("need at least one ensemble member")
+    return _haar_strengths(members.stack, members.stack)
 
 
 # Smallest |Tr[O]/d - <psi|O|psi>| from which a noise strength is recovered.
@@ -163,28 +219,34 @@ def twirl_discrete(
 
     Member W gives Tr[(W^dag C W)[|psi><psi|] O] = sum_mu <chi_mu|O|chi_mu>
     with chi_mu = W^dag K_mu W psi, which the depolarizing mixing law turns
-    into an eps; the mean and standard error of these are reported.  The
-    output state sum_mu |chi_mu><chi_mu| is Hermitian and positive by
-    construction, so only its trace and the reality of the value are checked.
-    Members are checked unitary unless the set came from _unitary_members,
-    which lets a caller twirl several channels over one set checked once.
+    into an eps; the mean and standard error of these are reported.  chi is
+    formed for every member at once, from stacked products.  The output state
+    sum_mu |chi_mu><chi_mu| is Hermitian and positive by construction, so only
+    each member's trace and the reality of its value are checked.  Members are
+    checked unitary unless the set came from _unitary_members, which lets a
+    caller twirl several channels over one set checked once.
     """
     if len(twirl_set) == 0:
         raise BadLength("need at least one twirl-set member")
     if not ch.dim == probe.dim == O.dim:
         raise DimensionMismatch(f"dims differ: channel {ch.dim}, probe {probe.dim}, observable {O.dim}")
-    members = _unitary_members(twirl_set)
-    kraus = np.stack(ch.kraus)
-    values = np.empty(len(members))
-    for i, W in enumerate(members):
-        chi = (kraus @ (W @ probe.amplitudes)) @ W.conj()  # row mu is chi_mu
-        tr = float(np.vdot(chi, chi).real)
-        if abs(tr - 1.0) > 1e-6:
-            raise TraceViolation(f"output trace {tr:.8f} deviates from 1")
-        val = complex(np.vdot(chi, chi @ O.matrix.T))
-        if abs(val.imag) >= 1e-10:
-            raise NotHermitian(f"Tr[rho O] has imaginary residue {val.imag:.3e}; observable is not Hermitian")
-        values[i] = val.real
-    eps = noise_strength_from_expectation(values, probe, O)
+    W = _unitary_members(twirl_set).stack
+    n_k, d = len(ch.kraus), ch.dim
+    if W.shape[1:] != (d, d):
+        raise DimensionMismatch(f"twirl-set members have shape {W.shape[1:]}, channel dimension is {d}")
+    KW_psi = (W @ probe.amplitudes) @ np.stack(ch.kraus).reshape(n_k * d, d).T  # row t: K_mu W_t psi
+    # chi[t, mu] = W_t^dag K_mu W_t psi = conj(conj(K_mu W_t psi) W_t), with no conjugate of the set
+    chi = np.conj(np.conj(KW_psi).reshape(-1, n_k, d) @ W, out=KW_psi.reshape(-1, n_k, d))
+    tr = np.vecdot(chi, chi).real.sum(axis=1)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > 1e-6)
+    if bad.size:
+        raise TraceViolation(f"output trace {tr[bad[0]]:.8f} deviates from 1")
+    values = np.vecdot(chi, chi @ O.matrix.T).sum(axis=1)
+    bad = np.flatnonzero(np.abs(values.imag) >= 1e-10)
+    if bad.size:
+        raise NotHermitian(
+            f"Tr[rho O] has imaginary residue {values.imag[bad[0]]:.3e}; observable is not Hermitian"
+        )
+    eps = noise_strength_from_expectation(values.real, probe, O)
     stderr = float(np.std(eps, ddof=1) / np.sqrt(eps.size)) if eps.size > 1 else 0.0
     return DepolarizingEstimate(epsilon=float(np.mean(eps)), stderr=stderr)

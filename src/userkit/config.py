@@ -171,15 +171,15 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
 class Experiment:
     """Everything `sear.run_sear` needs, resolved from one config: the rescaled
     target A (with the evolution time t_eff it stands for), probe, observable,
-    twirl set and ensemble settings.  The twirl set is None for the Haar
-    measure, and empty in simulable mode for a zero-spread observable, whose
-    noise strengths are 0 whatever the set."""
+    twirl set and ensemble settings.  The twirl set, an (n_t, d, d) stack, is
+    None for the Haar measure, and empty in simulable mode for a zero-spread
+    observable, whose noise strengths are 0 whatever the set."""
 
     target_A: np.ndarray
     t_eff: float
     psi: PureState
     O: Observable
-    twirl_set: list | None
+    twirl_set: np.ndarray | None
     sear: SearConfig
 
     @classmethod
@@ -199,7 +199,7 @@ class Experiment:
         if r["twirl_mode"] == "haar":
             twirl_set = None
         elif O.spread() <= TOL_EIG:  # no noise strength is read through it
-            twirl_set = []
+            twirl_set = np.empty((0, O.dim, O.dim), dtype=complex)
         else:
             twirl_set = _simulable_twirl_set(r, lattice)
         return cls(
@@ -225,14 +225,16 @@ def _twirl_drives(r: dict) -> list[tuple[float, float]]:
     return [(r["drive_omega"] * (0.5 + rng.random()), 0.3 + 0.7 * rng.random()) for _ in range(r["n_t"])]
 
 
-def _simulable_twirl_set(r: dict, lattice: LatticeSpec) -> list:
-    """AQS evolutions on a seeded (gamma, t) grid: not a unitary 2-design, so the
-    noise strengths carry a set-dependent bias (epsilon.json records the mode)."""
+def _simulable_twirl_set(r: dict, lattice: LatticeSpec) -> np.ndarray:
+    """AQS evolutions on a seeded (gamma, t) grid, as one (n_t, d, d) stack that
+    the twirl reads without copying: not a unitary 2-design, so the noise
+    strengths carry a set-dependent bias (epsilon.json records the mode)."""
     fam = build_lattice_family(lattice)
-    return [
-        time_ordered_evolve(fam, EvolutionSpec(gamma=gamma, t_final=t, n_steps=TWIRL_STEPS))
-        for gamma, t in _twirl_drives(r)
-    ]
+    drives = _twirl_drives(r)
+    members = np.empty((len(drives), fam.dim, fam.dim), dtype=complex)
+    for member, (gamma, t) in zip(members, drives):
+        member[...] = time_ordered_evolve(fam, EvolutionSpec(gamma=gamma, t_final=t, n_steps=TWIRL_STEPS))
+    return members
 
 
 def preset_config(name: str) -> ExperimentConfig:

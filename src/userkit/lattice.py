@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aqs_magnus import HamiltonianFamily
-from .matrix_core import as_matrix, eig_hermitian, finite_floats
+from .matrix_core import as_matrix, eigvals_hermitian, finite_floats
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,6 @@ def target_A_from_hamiltonian(H_t: np.ndarray, evolution_time: float) -> tuple[n
     """
     H_t = as_matrix(H_t)
     A = -H_t * (evolution_time / np.pi)
-    w = eig_hermitian(A).values
+    w = eigvals_hermitian(A)
     rescale = max(1.0, float(np.max(np.abs(w))))
     return A / rescale, rescale

@@ -3,10 +3,12 @@
 Hermitian eigendecomposition, the exponential e^{i scale H} of a Hermitian H,
 and the validation predicates the rest of the package relies on.  Dimensions
 here are small (d <= 256), so everything is dense.  `eig_hermitian` is one
-LAPACK eigendecomposition; `expm_hermitian_i` is built from matrix products
-only (a scaled Taylor polynomial, squared back), and there are no Pade or
-Krylov code paths.  Both take one (d, d) matrix or an (n, d, d) stack, and
-treat each slice of a stack bit for bit as they treat a single matrix.
+LAPACK eigendecomposition, and `eigvals_hermitian` the eigenvalues alone for
+callers that read no vectors; `expm_hermitian_i` is built from matrix
+products only (a scaled Taylor polynomial of a degree chosen per slice,
+squared back), and there are no Pade or Krylov code paths.  All three take
+one (d, d) matrix or an (n, d, d) stack, and treat each slice of a stack bit
+for bit as they treat a single matrix.
 """
 
 from __future__ import annotations
@@ -27,19 +29,28 @@ TOL_EIG = 1e-10
 # Largest entry of |U U^dag - I| accepted as unitary.
 TOL_UNITARY = 1e-9
 
-# e^X for X = i scale H is the degree-16 Taylor polynomial of X 2^-s, squared
-# s times.  Paterson-Stockmeyer evaluates the polynomial in 6 products (X^2,
-# X^3, X^4, then three Horner steps in X^4).  s is the least with
-# ||X 2^-s||_1 <= _THETA: the truncation remainder is at most theta^17 / 17!
-# times a tail factor 1 / (1 - theta / 18), at most 2^-53 for theta <= 0.8269
-# (without the factor) and 0.8245 (with it).  Each squaring doubles the
-# rounding error, so s is capped where 2^s 2^-53 <= TOL_UNITARY / 10, at 19
-# (2^19 2^-53 = 5.8e-11; the measured |U U^dag - I| at s = 19 is at most
-# 1.3e-10, about 2^(s+1) 2^-53).
+# e^X for X = i scale H is a Taylor polynomial of X 2^-s, squared s times.
+# With X^2, X^3 and X^4 formed (3 products), Paterson-Stockmeyer evaluates the
+# degree-4q polynomial with q - 1 Horner steps in X^4: degrees 4, 8, 12 and 16
+# take 3, 4, 5 and 6 products.  _THETAS[q - 1] is the largest 1-norm of
+# X 2^-s that degree m = 4q takes: there the truncation remainder is at most
+# theta^(m+1) / (m+1)! times a tail factor 1 / (1 - theta / (m+2)), which
+# stays at most 2^-53 up to 0.001678, 0.06993, 0.3352 and 0.8245 for
+# m = 4, 8, 12 and 16 (the literals are these rounded down; the test suite
+# recomputes them).  A slice that degree 4, 8 or 12 takes as it is gets the
+# least such degree and no squaring; any other gets degree 16 and the least
+# s with ||X 2^-s||_1 <= _THETA.  Once squarings are needed a lower degree
+# never takes fewer products: degree 12, 8 or 4 needs at least 1, 3 or 8 more
+# squarings than degree 16 (floor(log2(_THETA / _THETAS[q - 1]))) and saves
+# 1, 2 or 3 Horner steps.  Each squaring doubles the rounding error, so s is
+# capped where 2^s 2^-53 <= TOL_UNITARY / 10, at 19 (2^19 2^-53 = 5.8e-11;
+# the measured |U U^dag - I| at s = 19 is at most 1.3e-10, about
+# 2^(s+1) 2^-53).
 # References: Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009);
 # Bader, Blanes & Casas, Mathematics 7 (2019).
 _TAYLOR = tuple(1.0 / factorial(k) for k in range(17))
 _THETA = 0.82
+_THETAS = (0.00167, 0.0699, 0.335, _THETA)
 _MAX_SQUARINGS = 19
 
 
@@ -115,6 +126,12 @@ def eig_hermitian(H: np.ndarray) -> HermitianEig:
     return HermitianEig(values=w, vectors=V)
 
 
+def eigvals_hermitian(H: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of a Hermitian matrix (or of each slice of a
+    stack), checked as `eig_hermitian` checks it, without the eigenvectors."""
+    return np.linalg.eigvalsh(_hermitian(H))
+
+
 def _squarings(norm: float) -> int:
     """The least s >= 0 with norm <= _THETA 2^s, for the 1-norm of one slice;
     SpectrumOutOfRange above _MAX_SQUARINGS."""
@@ -129,35 +146,55 @@ def _squarings(norm: float) -> int:
     return s
 
 
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(q, s) for the 1-norm of one slice: the Taylor polynomial of degree 4q
+    and the number of squarings s, as described at `_THETAS`."""
+    for q, theta in enumerate(_THETAS[:-1], start=1):
+        if norm <= theta:
+            return q, 0
+    return len(_THETAS), _squarings(norm)
+
+
 def expm_hermitian_i(H: np.ndarray, scale: float) -> np.ndarray:
     """e^{i * scale * H} for Hermitian H (or each slice of a stack), from matrix
-    products: the scaled Taylor polynomial described at `_TAYLOR`, with each
-    slice's own number of squarings s.  A slice that would need more than
-    `_MAX_SQUARINGS`, or whose |scale| ||H||_1 is not finite, raises
-    SpectrumOutOfRange."""
+    products: the scaled Taylor polynomial described at `_THETAS`, with each
+    slice's own degree and number of squarings s.  A slice takes only its own
+    Horner steps and squarings, so a stack gives each slice's single result bit
+    for bit.  A slice that would need more than `_MAX_SQUARINGS`, or whose
+    |scale| ||H||_1 is not finite, raises SpectrumOutOfRange."""
     X = _hermitian(H)
     shape = X.shape
     X = X.reshape(-1, shape[-1], shape[-1])
-    s = [_squarings(abs(scale) * norm) for norm in np.max(np.sum(np.abs(X), axis=-2), axis=-1).tolist()]
+    n = X.shape[0]
+    q, s = zip(*[_taylor_plan(abs(scale) * norm) for norm in np.max(np.sum(np.abs(X), axis=-2), axis=-1).tolist()])
     X *= np.array([1j * scale * 2.0**-k for k in s])[:, None, None]
     c = _TAYLOR
     X2 = X @ X
     X3 = X2 @ X
     X4 = X2 @ X2
 
-    def add_block(U: np.ndarray, j: int) -> np.ndarray:
-        """U + c_4j I + c_4j+1 X + c_4j+2 X^2 + c_4j+3 X^3, in place."""
-        U += c[4 * j + 1] * X
-        U += c[4 * j + 2] * X2
-        U += c[4 * j + 3] * X3
-        np.einsum("nii->ni", U)[...] += c[4 * j]  # a writeable view of the diagonals
-        return U
+    def on(idx: list[int]) -> list[int] | slice:
+        """The slices idx as an index: a view when idx takes them all."""
+        return slice(None) if len(idx) == n else idx
 
-    U = add_block(c[16] * X4, 3)
-    for j in (2, 1, 0):
-        U = add_block(U @ X4, j)
+    def add_block(V: np.ndarray, j: int, idx) -> np.ndarray:
+        """V + c_4j I + c_4j+1 X + c_4j+2 X^2 + c_4j+3 X^3 on the slices idx, in place."""
+        V += c[4 * j + 1] * X[idx]
+        V += c[4 * j + 2] * X2[idx]
+        V += c[4 * j + 3] * X3[idx]
+        np.einsum("nii->ni", V)[...] += c[4 * j]  # a writeable view of the diagonals
+        return V
+
+    # Horner in X^4 from the top block down: a slice of degree 4q starts at
+    # block q - 1 with c_4q X^4, then takes one step per block below it.
+    U = np.empty_like(X)
+    for j in range(max(q) - 1, -1, -1):
+        if going := on([i for i in range(n) if q[i] > j + 1]):
+            U[going] = add_block(U[going] @ X4[going], j, going)
+        if new := on([i for i in range(n) if q[i] == j + 1]):
+            U[new] = add_block(c[4 * j + 4] * X4[new], j, new)
     for k in range(max(s)):
-        idx = [i for i, s_i in enumerate(s) if s_i > k]
+        idx = on([i for i in range(n) if s[i] > k])
         V = U[idx]
         U[idx] = V @ V
     return U.reshape(shape)

@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aqs_magnus import SequencePlan, _check_target, approx_discretization_unitary, design_sequence
-from .channels import _unitary_members, sear_error_channel, twirl_analytic, twirl_discrete
-from .matrix_core import TOL_EIG, eig_hermitian, finite_floats
+from .aqs_magnus import SequencePlan, _check_target_spectrum, approx_discretization_unitary, design_sequence
+from .channels import _unitary_members, sear_error_channel, twirl_analytic_all, twirl_discrete
+from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, eigvals_hermitian, finite_floats
 from .user_recon import Observable, PureState, required_n_l, user_reconstruct
 
 
@@ -76,8 +76,15 @@ def generate_approx_unitaries(
 ) -> list[tuple[np.ndarray, np.ndarray, SequencePlan]]:
     """One ensemble member (U_k, U_sd, plan) per index k: design a sequence at
     lambda^(k), form the discretization unitary U_sd, and raise it to
-    tau^(k) = round(1/lambda^(k)) for U_k.  A is checked once, here."""
-    target_A = _check_target(target_A)
+    tau^(k) = round(1/lambda^(k)) for U_k.  A's spectrum is checked once, here,
+    from its eigenvalues."""
+    target_A = as_matrix(target_A)
+    _check_target_spectrum(eigvals_hermitian(target_A))
+    return _design_ensemble(target_A, config)
+
+
+def _design_ensemble(target_A: np.ndarray, config: SearConfig) -> list[tuple[np.ndarray, np.ndarray, SequencePlan]]:
+    """`generate_approx_unitaries` for an A whose spectrum is already checked."""
     seeds = np.random.SeedSequence(config.seed).generate_state(len(config.lambdas))
     out = []
     for k, lam in enumerate(config.lambdas):
@@ -102,7 +109,7 @@ def estimate_noise_strength(
     needed: every per_k is 0, once the set is checked."""
     unitaries = _unitary_members(U_k for U_k, _, _ in approx_list)
     if twirl_set is None:
-        per_k = [twirl_analytic(U_k, unitaries).epsilon for U_k in unitaries]
+        per_k = twirl_analytic_all(unitaries).tolist()
     else:
         members = _unitary_members(twirl_set)
         if O.spread() <= TOL_EIG:
@@ -119,12 +126,14 @@ def run_sear(
     twirl_set: Optional[Sequence[np.ndarray]],
     config: SearConfig,
 ) -> SearResult:
-    eig_A = eig_hermitian(target_A)
+    target_A = as_matrix(target_A)
+    eig_A = eig_hermitian(target_A)  # the run's one decomposition of A
     spread_A = float(np.ptp(eig_A.values))
     deltas = [band_slack(spread_A, lam, config.n_s, config.perturbation) for lam in config.lambdas]
     for lam, delta in zip(config.lambdas, deltas):  # refuse any member's grid before designing one
         required_n_l(lam, delta)
-    approx_list = generate_approx_unitaries(target_A, config)
+    _check_target_spectrum(eig_A.values)
+    approx_list = _design_ensemble(target_A, config)
     members = [
         user_reconstruct(psi, O, U_sd, lam, delta)
         for (_, U_sd, _), lam, delta in zip(approx_list, config.lambdas, deltas)

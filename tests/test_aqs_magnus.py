@@ -288,6 +288,15 @@ class TestDesignSequence:
         plan = design_sequence(A, 0.25, perturbation=1e-3, seed=5, n_s=4)
         assert plan.residual <= 4e-3
 
+    def test_residual_computed_when_read(self, rng):
+        # the plan holds the designer's A itself, and the residual is the norm
+        # of the pulses' sum less pi lam A
+        A = random_target_A(rng, 4)
+        plan = design_sequence(A, 0.2, perturbation=1e-2, seed=9)
+        assert plan.target_A is A and plan.lam == 0.2
+        defect = sum(plan.magnus_terms) - np.pi * 0.2 * A
+        assert plan.residual == pytest.approx(np.linalg.norm(defect, 2), rel=0, abs=1e-14)
+
     def test_determinism(self, rng):
         A = random_target_A(rng, 3)
         p1 = design_sequence(A, 0.2, perturbation=1e-2, seed=9)
@@ -312,7 +321,7 @@ class TestApproxDiscretizationUnitary:
     def test_non_hermitian_term_rejected(self):
         # a term is exponentiated as given: one that is not Hermitian raises,
         # it is not Hermitized first
-        plan = SequencePlan(magnus_terms=(0.1 * Z, 0.1 * (X + 1j * X)), residual=0.0)
+        plan = SequencePlan(magnus_terms=(0.1 * Z, 0.1 * (X + 1j * X)), target_A=Z, lam=0.25)
         with pytest.raises(NotHermitian):
             approx_discretization_unitary(plan)
 

@@ -5,9 +5,11 @@ from userkit.channels import (
     DensityMatrix,
     KrausChannel,
     _UnitaryMembers,
+    _unitary_members,
     noise_strength_from_expectation,
     sear_error_channel,
     twirl_analytic,
+    twirl_analytic_all,
     twirl_discrete,
 )
 from userkit.errors import (
@@ -221,6 +223,24 @@ class TestTwirlAnalytic:
         with pytest.raises(BadLength, match="at least one"):
             twirl_analytic(np.eye(2), [])
 
+    def test_all_members_at_once(self, rng):
+        # 300 members at d=16 take the overlaps in blocks of rows: each member's
+        # eps is its own twirl_analytic call, bit for bit
+        members = _unitary_members(random_unitaries(rng, 16, 300))
+        per_k = twirl_analytic_all(members)
+        assert per_k.shape == (300,) and np.all(per_k > 0.0)
+        assert np.array_equal(per_k, [twirl_analytic(U, members).epsilon for U in members])
+        few = random_unitaries(rng, 3, 4)
+        assert twirl_analytic_all(few).tolist() == [twirl_analytic(U, few).epsilon for U in few]
+
+    def test_all_members_checked(self):
+        with pytest.raises(BadLength, match="at least one"):
+            twirl_analytic_all([])
+        with pytest.raises(NotUnitary):
+            twirl_analytic_all([np.eye(2), 1.1 * np.eye(2)])
+        with pytest.raises(DimensionMismatch):
+            twirl_analytic_all([np.eye(2), np.eye(3)])
+
 
 class TestTwirlHaarMc:
     def test_identity_channel(self, rng):
@@ -344,6 +364,21 @@ class TestTwirlKernel:
         with pytest.raises(TraceViolation):
             twirl_discrete(ch, members, PureState(np.array([1.0, 0.0])), O)
 
+    def test_later_member_trace_checked(self):
+        # every member's output trace is checked, not only the first one's
+        ch = KrausChannel((np.eye(2, dtype=complex),))
+        members = _UnitaryMembers([np.eye(2), np.eye(2), 1.01 * np.eye(2)])
+        with pytest.raises(TraceViolation, match="1.0406"):
+            twirl_discrete(ch, members, PureState(np.array([1.0, 0.0])), Observable(Z))
+
+    def test_set_dimension_checked(self, rng):
+        ch = KrausChannel((np.eye(2, dtype=complex),))
+        psi, O = PureState(random_state(rng, 2)), Observable(Z)
+        with pytest.raises(DimensionMismatch):
+            twirl_discrete(ch, [np.eye(2), np.eye(3)], psi, O)
+        with pytest.raises(DimensionMismatch):
+            twirl_discrete(ch, [np.eye(3)], psi, O)
+
     def test_dimension_mismatch(self, rng):
         ch = KrausChannel((np.eye(3, dtype=complex),))
         O3 = Observable(random_hermitian(rng, 3))
@@ -427,3 +462,30 @@ class TestDepolarize:
             lhs = abs(expectation(rho, O) - expectation(depolarize(rho, eps), O))
             rhs = eps * abs(expectation(rho, O) - np.real(np.trace(O.matrix)) / d)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestUnitaryMembers:
+    def test_stack_checked_in_blocks(self, rng):
+        # 40 members at d=16 are checked 16 at a time: a bad one in the last
+        # block is found
+        members = random_unitaries(rng, 16, 40)
+        assert len(_unitary_members(members)) == 40
+        members[37] = members[37] * (1.0 + 1e-8)
+        with pytest.raises(NotUnitary):
+            _unitary_members(members)
+        with pytest.raises(NotUnitary):
+            _unitary_members(np.stack(members))
+
+    def test_array_not_copied(self, rng):
+        stack = np.stack(random_unitaries(rng, 4, 5))
+        members = _unitary_members(stack)
+        assert members.stack is stack and all(np.shares_memory(W, stack) for W in members)
+        assert _unitary_members(members) is members
+
+    def test_non_finite_member_rejected(self, rng):
+        stack = np.stack(random_unitaries(rng, 3, 4))
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _unitary_members(stack)
+        with pytest.raises(ValueError, match="finite"):
+            _unitary_members(list(stack))

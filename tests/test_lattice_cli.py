@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import tempfile
@@ -573,3 +574,40 @@ class TestCli:
         run_dir = tmp_path / "run"
         assert main(["run", str(cfg_path), "--out", str(run_dir), "--seed", "3"]) == 0
         assert (run_dir / "epsilon.json").read_bytes() == (out_dir / "epsilon.json").read_bytes()
+
+
+class TestDenseBudget:
+    """The LAPACK calls of one `userkit run` and one `userkit twirl` on
+    noisy-16, counted at np.linalg.  Per run: `eigh` with vectors for A (the
+    exact reference, its spread and its spectrum check) and for the observable;
+    `eigvalsh` for each of the n_a * n_s defect norms and for the rescale of A;
+    no residual norm.  `twirl` decomposes no A, so it checks A's spectrum with
+    one more `eigvalsh`.  The counts do not depend on d."""
+
+    @pytest.fixture
+    def linalg_calls(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, counted(name, fn))
+        return calls
+
+    @pytest.mark.parametrize("n_sites", [16, 32])
+    def test_run_and_twirl(self, tmp_path, linalg_calls, n_sites):
+        cfg_path = write_config(tmp_path, "noisy-16", n_sites=n_sites)
+        r = load_config(str(cfg_path)).raw
+        n_a, pulses = len(r["lambdas"]), len(r["lambdas"]) * r["n_s"]
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        assert dict(linalg_calls) == {"eigh": 2, "eigvalsh": pulses + 1, "matrix_power": n_a}
+        linalg_calls.clear()
+        assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "twirl")]) == 0
+        assert dict(linalg_calls) == {"eigh": 1, "eigvalsh": pulses + 2, "matrix_power": n_a}

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,9 +8,12 @@ from userkit.errors import NotHermitian, SpectrumOutOfRange
 from userkit.matrix_core import (
     _MAX_SQUARINGS,
     _THETA,
+    _THETAS,
     TOL_UNITARY,
+    _taylor_plan,
     as_matrix,
     eig_hermitian,
+    eigvals_hermitian,
     expm_hermitian_i,
     is_unitary,
 )
@@ -190,3 +195,69 @@ class TestExpmReferences:
             expm_hermitian_i(np.stack([np.eye(2), 1e6 * np.eye(2)]), 1.0)
         with pytest.raises(SpectrumOutOfRange):
             expm_hermitian_i(np.eye(2), np.inf)
+
+
+def one_norm(H):
+    return float(np.max(np.sum(np.abs(H), axis=0)))
+
+
+def within_remainder_rule(theta, m):
+    """The degree-m Taylor remainder bound at 1-norm theta, with its tail
+    factor, is at most the unit roundoff."""
+    return theta ** (m + 1) / factorial(m + 1) / (1.0 - theta / (m + 2)) <= UNIT_ROUNDOFF
+
+
+class TestTaylorDegree:
+    """Each slice takes the Taylor degree its own 1-norm needs."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4], ids=["deg4", "deg8", "deg12", "deg16"])
+    def test_threshold_from_remainder_rule(self, q):
+        # the literal obeys the rule and is the largest 1-norm it allows,
+        # rounded down by less than 1%
+        m, theta = 4 * q, _THETAS[q - 1]
+        assert within_remainder_rule(theta, m)
+        lo, hi = theta, 2.0 * theta
+        assert not within_remainder_rule(hi, m)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if within_remainder_rule(mid, m) else (lo, mid)
+        assert theta <= lo < 1.01 * theta
+        assert _THETAS[-1] == _THETA
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6], ids=["below", "above"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4], ids=["deg4", "deg8", "deg12", "deg16"])
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_at_degree_thresholds(self, rng, d, q, side):
+        H = random_hermitian(rng, d)
+        x = side * _THETAS[q - 1]
+        scale = -x / one_norm(H)  # ||X||_1 = x for X = i scale H
+        above = (q + 1, 0) if q < 4 else (4, 1)
+        assert _taylor_plan(abs(scale) * one_norm(H)) == ((q, 0) if side < 1.0 else above)
+        U = expm_hermitian_i(H, scale)
+        bound = reference_bound(x)  # ||X||_2 <= ||X||_1
+        assert np.max(np.abs(U - eig_hermitian(H).expm_i(scale))) <= bound
+        assert np.max(np.abs(U - scipy.linalg.expm(1j * scale * H))) <= bound
+        assert np.max(np.abs(U @ U.conj().T - np.eye(d))) <= bound
+
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_mixed_degree_stack_equals_slices(self, rng, d):
+        # every degree, with and without squarings, in a shuffled stack
+        norms = [0.0, 1e-4, 0.0016, 0.002, 0.05, 0.069, 0.071, 0.3, 0.34, 0.81, 0.83, 3.0, 200.0]
+        norms = [norms[i] for i in rng.permutation(len(norms))]
+        H = np.stack([random_hermitian(rng, d) for _ in norms])
+        for k, x in enumerate(norms):
+            H[k] *= x / one_norm(H[k])
+        plans = {_taylor_plan(one_norm(H[k])) for k in range(len(norms))}
+        assert {q for q, _ in plans} == {1, 2, 3, 4} and len({s for _, s in plans}) > 2
+        U = expm_hermitian_i(H, -1.0)
+        for k, x in enumerate(norms):
+            assert np.array_equal(U[k], expm_hermitian_i(H[k], -1.0))
+            assert np.max(np.abs(U[k] - scipy.linalg.expm(-1j * H[k]))) <= reference_bound(x)
+
+
+def test_eigvals_hermitian(rng):
+    H = random_hermitian(rng, 8)
+    assert np.array_equal(eigvals_hermitian(H), np.linalg.eigvalsh(H))
+    assert np.allclose(eigvals_hermitian(H), eig_hermitian(H).values, rtol=0, atol=1e-13)
+    with pytest.raises(NotHermitian):
+        eigvals_hermitian(H + 1e-9 * np.triu(np.ones((8, 8)), 1))
