@@ -18,29 +18,25 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
-from .matrix_core import TOL_EIG, as_matrix, expm_hermitian_i, hermiticity_defect
+from .errors import SpectrumOutOfRange, UnsupportedOrder
+from .matrix_core import BLOCK_ENTRIES, TOL_EIG, _hermitian, as_matrix, eigvals_hermitian, expm_hermitian_i
 
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """Driven generator H_gamma(t) = K + sin(gamma t) V.  K and V are checked
-    once, on construction: square, of one shape, finite, and Hermitian.  Every
-    commutator of two generators is a multiple of [K, V], so the Hermitian
-    iKV = i[K, V] is formed here, once per family."""
+    once, on construction: square, of one shape, finite, and Hermitian, and are
+    stored symmetrized.  Every commutator of two generators is a multiple of
+    [K, V], so the Hermitian iKV = i[K, V] is formed here, once per family."""
 
     K: np.ndarray
     V: np.ndarray
     iKV: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        K, V = as_matrix(self.K), as_matrix(self.V)
+        K, V = _hermitian(as_matrix(self.K)), _hermitian(as_matrix(self.V))
         if K.shape != V.shape:
             raise ValueError(f"K and V shapes differ: {K.shape} vs {V.shape}")
-        for name, H in (("K", K), ("V", V)):
-            defect = hermiticity_defect(H)
-            if defect > TOL_EIG:
-                raise NotHermitian(f"{name} Hermiticity defect {defect:.3e} > {TOL_EIG:.3e}")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "iKV", 1j * (K @ V - V @ K))
@@ -88,13 +84,6 @@ def _drive(gamma: float, t: float, n_steps: int) -> tuple[np.ndarray, float]:
     return np.sin(gamma * ((np.arange(n_steps) + 0.5) * dt)), dt
 
 
-# Matrix entries per stacked block of step generators: 64 KB of complex
-# numbers, 16 steps at d=16 and one from d=64 up.  `expm_hermitian_i` holds
-# seven block-sized arrays besides the block (tracemalloc peak 7.0-7.1 blocks
-# at d = 16, 64 and 128), so memory does not grow with the number of steps.
-_EVOLVE_BLOCK_ENTRIES = 1 << 12
-
-
 def time_ordered_evolve(fam: HamiltonianFamily, spec: EvolutionSpec) -> np.ndarray:
     """Ordered product of fourth-order Magnus steps, latest step leftmost.
 
@@ -106,8 +95,8 @@ def time_ordered_evolve(fam: HamiltonianFamily, spec: EvolutionSpec) -> np.ndarr
     of the family's iKV and
         G_n = (h/2) (2K + (s_1 + s_2) V) + (sqrt(3) h^2 / 12) (s_2 - s_1) iKV,
     one exponential per step, with a local error O(h^5).  A constant family is
-    integrated exactly.  A block of G_n is built at a time and exponentiated
-    with one stacked `expm_hermitian_i` call."""
+    integrated exactly.  A block of G_n (`BLOCK_ENTRIES` entries) is built at
+    a time and exponentiated with one stacked `expm_hermitian_i` call."""
     h = spec.t_final / spec.n_steps
     start_times = np.arange(spec.n_steps) * h
     s1 = np.sin(spec.gamma * (start_times + (0.5 - sqrt(3.0) / 6.0) * h))
@@ -115,7 +104,7 @@ def time_ordered_evolve(fam: HamiltonianFamily, spec: EvolutionSpec) -> np.ndarr
     v_coef = 0.5 * h * (s1 + s2)
     c_coef = (sqrt(3.0) / 12.0) * h * h * (s2 - s1)
     hK = h * fam.K
-    block = max(1, _EVOLVE_BLOCK_ENTRIES // fam.dim**2)
+    block = max(1, BLOCK_ENTRIES // fam.dim**2)
     U = np.eye(fam.dim, dtype=complex)
     for start in range(0, spec.n_steps, block):
         stop = start + block
@@ -157,9 +146,9 @@ def magnus_truncated(
 
 
 def _norm_hermitian(G: np.ndarray) -> float:
-    """Operator 2-norm of a Hermitian G: its largest |eigenvalue| (eigvalsh
-    reads one triangle and is cheaper than the SVD behind norm(G, 2))."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(G))))
+    """Operator 2-norm of a Hermitian G: its largest |eigenvalue| (cheaper than
+    the SVD behind norm(G, 2))."""
+    return float(np.max(np.abs(eigvals_hermitian(G))))
 
 
 def _check_target_spectrum(eigenvalues: np.ndarray) -> None:

@@ -18,12 +18,11 @@ from .errors import (
     BadLength,
     DegenerateDenominator,
     DimensionMismatch,
-    NotHermitian,
     NotTracePreserving,
     NotUnitary,
     TraceViolation,
 )
-from .matrix_core import TOL_UNITARY, _as_square, as_matrix
+from .matrix_core import BLOCK_ENTRIES, TOL_UNITARY, _as_square, as_matrix, hermiticity_defect, unitarity_defect
 from .user_recon import Observable, PureState
 
 
@@ -34,7 +33,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-8:
+        if hermiticity_defect(m) > 1e-8:
             raise ValueError("density matrix must be Hermitian")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-6:
@@ -88,12 +87,6 @@ class _UnitaryMembers(tuple):
         return members
 
 
-# Largest number of matrix entries a stacked product over members takes at
-# once: 64 KB of complex numbers, 16 members at d=16 and one from d=64 up, so
-# a check or a twirl holds little more than the members themselves.
-_BLOCK_ENTRIES = 1 << 12
-
-
 def _unitary_members(matrices) -> _UnitaryMembers:
     """Convert the matrices (an (n, d, d) array in place, not copied), check
     that they have one shape, and check them unitary a block of members per
@@ -106,18 +99,11 @@ def _unitary_members(matrices) -> _UnitaryMembers:
         matrices = [as_matrix(W) for W in matrices]
         if len({W.shape for W in matrices}) > 1:
             raise DimensionMismatch("members differ in dimension")
-    rows = max(1, _BLOCK_ENTRIES // max(1, matrices[0].size)) if len(matrices) else 1
+    rows = max(1, BLOCK_ENTRIES // max(1, matrices[0].size)) if len(matrices) else 1
     for start in range(0, len(matrices), rows):
-        if _unitarity_defect(np.asarray(matrices[start : start + rows])) > TOL_UNITARY:
+        if unitarity_defect(np.asarray(matrices[start : start + rows])) > TOL_UNITARY:
             raise NotUnitary("member is not unitary")
     return _UnitaryMembers(matrices)
-
-
-def _unitarity_defect(block: np.ndarray) -> float:
-    """Largest entry of |W W^dag - I| over an (n, d, d) block."""
-    G = block @ block.conj().swapaxes(-1, -2)
-    np.einsum("nii->ni", G)[...] -= 1.0
-    return float(np.max(np.abs(G)))
 
 
 def _checked(U_i, approx_list) -> tuple[np.ndarray, _UnitaryMembers]:
@@ -156,7 +142,7 @@ def _haar_strengths(U_rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     rows = U_rows.reshape(-1, 1, d * d)
     cols = members.reshape(1, n, d * d)
     F_e = np.empty(len(rows))
-    step = max(1, _BLOCK_ENTRIES // n)
+    step = max(1, BLOCK_ENTRIES // n)
     for start in range(0, len(rows), step):
         T = np.vecdot(rows[start : start + step], cols)  # T[i, a] = Tr U_i^dag U_a
         F_e[start : start + step] = np.sum(np.abs(T) ** 2, axis=1)
@@ -191,14 +177,13 @@ def noise_strength_from_expectation(
     psi: PureState,
     O: Observable,
 ) -> float | np.ndarray:
-    """eps = (comp_value - <psi|O|psi>) / (Tr[O]/d - <psi|O|psi>), elementwise for an array."""
+    """eps = (comp_value - <psi|O|psi>) / (Tr[O]/d - <psi|O|psi>), elementwise
+    for an array.  O is Hermitian (`Observable` checks it), so <psi|O|psi> is
+    real and its imaginary part is rounding."""
     if psi.dim != O.dim:
         raise DimensionMismatch(f"dims differ: probe {psi.dim}, observable {O.dim}")
     a = psi.amplitudes
-    val = complex(np.vdot(a, O.matrix @ a))
-    if abs(val.imag) >= 1e-10:
-        raise NotHermitian(f"<psi|O|psi> has imaginary residue {val.imag:.3e}; observable is not Hermitian")
-    t1 = val.real
+    t1 = complex(np.vdot(a, O.matrix @ a)).real
     td = float(np.real(np.trace(O.matrix))) / O.dim
     denom = td - t1
     if abs(denom) < DENOM_FLOOR:
@@ -221,10 +206,11 @@ def twirl_discrete(
     with chi_mu = W^dag K_mu W psi, which the depolarizing mixing law turns
     into an eps; the mean and standard error of these are reported.  chi is
     formed for every member at once, from stacked products.  The output state
-    sum_mu |chi_mu><chi_mu| is Hermitian and positive by construction, so only
-    each member's trace and the reality of its value are checked.  Members are
-    checked unitary unless the set came from _unitary_members, which lets a
-    caller twirl several channels over one set checked once.
+    sum_mu |chi_mu><chi_mu| is Hermitian and positive by construction, and O is
+    Hermitian, so only each member's trace is checked and the real part of its
+    value is read.  Members are checked unitary unless the set came from
+    _unitary_members, which lets a caller twirl several channels over one set
+    checked once.
     """
     if len(twirl_set) == 0:
         raise BadLength("need at least one twirl-set member")
@@ -241,12 +227,7 @@ def twirl_discrete(
     bad = np.flatnonzero(np.abs(tr - 1.0) > 1e-6)
     if bad.size:
         raise TraceViolation(f"output trace {tr[bad[0]]:.8f} deviates from 1")
-    values = np.vecdot(chi, chi @ O.matrix.T).sum(axis=1)
-    bad = np.flatnonzero(np.abs(values.imag) >= 1e-10)
-    if bad.size:
-        raise NotHermitian(
-            f"Tr[rho O] has imaginary residue {values.imag[bad[0]]:.3e}; observable is not Hermitian"
-        )
-    eps = noise_strength_from_expectation(values.real, probe, O)
+    values = np.vecdot(chi, chi @ O.matrix.T).sum(axis=1).real
+    eps = noise_strength_from_expectation(values, probe, O)
     stderr = float(np.std(eps, ddof=1) / np.sqrt(eps.size)) if eps.size > 1 else 0.0
     return DepolarizingEstimate(epsilon=float(np.mean(eps)), stderr=stderr)

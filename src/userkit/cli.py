@@ -37,6 +37,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _output_dir(cfg: ExperimentConfig) -> str:
+    """The config's output directory, created if missing; ConfigError naming it if it cannot be."""
+    out_dir = cfg.raw["output_dir"]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
+    return out_dir
+
+
 def _write_epsilon_json(cfg: ExperimentConfig, per_k: list, noise_strength: float) -> None:
     r = cfg.raw
     haar = r["twirl_mode"] == "haar"
@@ -57,8 +67,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     exp = Experiment.from_config(cfg)
     res = run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
 
-    out_dir = r["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(cfg)
     emit = set(r["emit"])
 
     if "samples_csv" in emit:
@@ -134,7 +143,7 @@ def _cmd_decompose(args) -> int:
     su = spectral_decompose(U)
     P = phase_separation(su)
     print(f"dim: {su.dim}")
-    print("phases:", " ".join(_fmt(p) for p in su.phases))
+    print("phases:", " ".join(_fmt(p) for p in su.values))
     print(f"phase_separation: {_fmt(P)}")
     if P > 0:
         print(f"aliasing_rate: {_fmt(aliasing_rate(su))}")
@@ -149,7 +158,7 @@ def _cmd_twirl(args) -> int:
     exp = Experiment.from_config(cfg)
     approx_list = generate_approx_unitaries(exp.target_A, exp.sear)
     noise_strength, per_k = estimate_noise_strength(approx_list, exp.twirl_set, exp.psi, exp.O)
-    os.makedirs(cfg.raw["output_dir"], exist_ok=True)
+    _output_dir(cfg)
     _write_epsilon_json(cfg, per_k, noise_strength)
     print(f"epsilon ~ {noise_strength:.12g}")
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -324,7 +325,14 @@ def write_matrix_file(path: str, M: np.ndarray) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write `text` to `path` through a temporary file; ConfigError naming `path`
+    if it cannot be written, and no temporary file left behind."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -1,14 +1,16 @@
-"""Dense complex-matrix substrate.
+"""Dense complex-matrix substrate: the one place that decides whether a
+matrix is Hermitian (`_hermitian`, which also symmetrizes it) or unitary
+(`unitarity_defect`), how a Hermitian matrix is decomposed (`HermitianEig`),
+how many entries a stacked block holds (`BLOCK_ENTRIES`), and how e^{i scale H}
+is evaluated.
 
-Hermitian eigendecomposition, the exponential e^{i scale H} of a Hermitian H,
-and the validation predicates the rest of the package relies on.  Dimensions
-here are small (d <= 256), so everything is dense.  `eig_hermitian` is one
-LAPACK eigendecomposition, and `eigvals_hermitian` the eigenvalues alone for
-callers that read no vectors; `expm_hermitian_i` is built from matrix
-products only (a scaled Taylor polynomial of a degree chosen per slice,
-squared back), and there are no Pade or Krylov code paths.  All three take
-one (d, d) matrix or an (n, d, d) stack, and treat each slice of a stack bit
-for bit as they treat a single matrix.
+Dimensions here are small (d <= 256), so everything is dense.
+`eig_hermitian` is one LAPACK eigendecomposition, and `eigvals_hermitian` the
+eigenvalues alone for callers that read no vectors; `expm_hermitian_i` is
+built from matrix products only (a scaled Taylor polynomial of a degree chosen
+per slice, squared back), and there are no Pade or Krylov code paths.  All
+three take one (d, d) matrix or an (n, d, d) stack, and treat each slice of a
+stack bit for bit as they treat a single matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ from .errors import NotHermitian, SpectrumOutOfRange
 TOL_EIG = 1e-10
 # Largest entry of |U U^dag - I| accepted as unitary.
 TOL_UNITARY = 1e-9
+# Largest number of matrix entries one stacked product takes at once: 64 KB
+# of complex numbers, 16 matrices at d=16 and one from d=64 up.  The unitarity
+# check and the twirl go a block of members at a time, and
+# `time_ordered_evolve` a block of step generators, so memory does not grow
+# with the number of members or steps.
+BLOCK_ENTRIES = 1 << 12
 
 # e^X for X = i scale H is a Taylor polynomial of X 2^-s, squared s times.
 # With X^2, X^3 and X^4 formed (3 products), Paterson-Stockmeyer evaluates the
@@ -59,7 +67,9 @@ class HermitianEig:
     """Eigendecomposition of a Hermitian matrix (or a stack of them), eigenvalues
     ascending; `vectors[..., :, j]` belongs to `values[..., j]`.  Column phases
     are whatever LAPACK returns: use the vectors only through quantities that
-    do not depend on them, such as V f(w) V^dag or |V^dag x|^2."""
+    do not depend on them, such as V f(w) V^dag or |V^dag x|^2.  It is also
+    the type of `user_recon.spectral_decompose(U)`, the decomposition of U's
+    principal logarithm, whose `expm_i(eta)` is U^eta."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -104,10 +114,15 @@ def hermiticity_defect(H: np.ndarray) -> float:
     return float(np.max(np.abs(H - H.swapaxes(-1, -2).conj())))
 
 
+def unitarity_defect(U: np.ndarray) -> float:
+    """Largest entry of |U U^dag - I|; over every slice of a stack."""
+    G = U @ U.conj().swapaxes(-1, -2)
+    np.einsum("...ii->...i", G)[...] -= 1.0  # a writeable view of the diagonals
+    return float(np.max(np.abs(G)))
+
+
 def is_unitary(U: np.ndarray) -> bool:
-    U = as_matrix(U)
-    d = U.shape[0]
-    return float(np.max(np.abs(U @ U.conj().T - np.eye(d)))) <= TOL_UNITARY
+    return unitarity_defect(as_matrix(U)) <= TOL_UNITARY
 
 
 def _hermitian(H) -> np.ndarray:
@@ -155,46 +170,44 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return len(_THETAS), _squarings(norm)
 
 
-def expm_hermitian_i(H: np.ndarray, scale: float) -> np.ndarray:
-    """e^{i * scale * H} for Hermitian H (or each slice of a stack), from matrix
-    products: the scaled Taylor polynomial described at `_THETAS`, with each
-    slice's own degree and number of squarings s.  A slice takes only its own
-    Horner steps and squarings, so a stack gives each slice's single result bit
-    for bit.  A slice that would need more than `_MAX_SQUARINGS`, or whose
-    |scale| ||H||_1 is not finite, raises SpectrumOutOfRange."""
-    X = _hermitian(H)
-    shape = X.shape
-    X = X.reshape(-1, shape[-1], shape[-1])
-    n = X.shape[0]
-    q, s = zip(*[_taylor_plan(abs(scale) * norm) for norm in np.max(np.sum(np.abs(X), axis=-2), axis=-1).tolist()])
-    X *= np.array([1j * scale * 2.0**-k for k in s])[:, None, None]
+def _taylor(X: np.ndarray, q: int, s: int) -> np.ndarray:
+    """e^(2^s X) for an (n, d, d) stack X of slices that share the degree 4q
+    and the s squarings: Paterson-Stockmeyer from X^2, X^3 and X^4, Horner in
+    X^4 from the top block down, then s squarings."""
     c = _TAYLOR
     X2 = X @ X
     X3 = X2 @ X
     X4 = X2 @ X2
+    U = c[4 * q] * X4
+    for j in range(q - 1, -1, -1):  # U += c_4j I + c_4j+1 X + c_4j+2 X^2 + c_4j+3 X^3
+        U += c[4 * j + 1] * X
+        U += c[4 * j + 2] * X2
+        U += c[4 * j + 3] * X3
+        np.einsum("nii->ni", U)[...] += c[4 * j]
+        if j:
+            U = U @ X4
+    for _ in range(s):
+        U = U @ U
+    return U
 
-    def on(idx: list[int]) -> list[int] | slice:
-        """The slices idx as an index: a view when idx takes them all."""
-        return slice(None) if len(idx) == n else idx
 
-    def add_block(V: np.ndarray, j: int, idx) -> np.ndarray:
-        """V + c_4j I + c_4j+1 X + c_4j+2 X^2 + c_4j+3 X^3 on the slices idx, in place."""
-        V += c[4 * j + 1] * X[idx]
-        V += c[4 * j + 2] * X2[idx]
-        V += c[4 * j + 3] * X3[idx]
-        np.einsum("nii->ni", V)[...] += c[4 * j]  # a writeable view of the diagonals
-        return V
-
-    # Horner in X^4 from the top block down: a slice of degree 4q starts at
-    # block q - 1 with c_4q X^4, then takes one step per block below it.
+def expm_hermitian_i(H: np.ndarray, scale: float) -> np.ndarray:
+    """e^{i * scale * H} for Hermitian H (or each slice of a stack), from matrix
+    products: the scaled Taylor polynomial described at `_THETAS`, with each
+    slice's own degree and number of squarings s.  The slices that share one
+    (q, s) are evaluated together by `_taylor`, so a stack gives each slice's
+    single result bit for bit.  A slice that would need more than
+    `_MAX_SQUARINGS`, or whose |scale| ||H||_1 is not finite, raises
+    SpectrumOutOfRange."""
+    X = _hermitian(H)
+    shape = X.shape
+    X = X.reshape(-1, shape[-1], shape[-1])
+    plans = [_taylor_plan(abs(scale) * norm) for norm in np.max(np.sum(np.abs(X), axis=-2), axis=-1).tolist()]
+    X *= np.array([1j * scale * 2.0**-s for _, s in plans])[:, None, None]
+    if len(set(plans)) == 1:  # one plan (a single matrix, say): the whole stack, with no copy
+        return _taylor(X, *plans[0]).reshape(shape)
     U = np.empty_like(X)
-    for j in range(max(q) - 1, -1, -1):
-        if going := on([i for i in range(n) if q[i] > j + 1]):
-            U[going] = add_block(U[going] @ X4[going], j, going)
-        if new := on([i for i in range(n) if q[i] == j + 1]):
-            U[new] = add_block(c[4 * j + 4] * X4[new], j, new)
-    for k in range(max(s)):
-        idx = on([i for i in range(n) if s[i] > k])
-        V = U[idx]
-        U[idx] = V @ V
+    for plan in set(plans):
+        idx = [i for i, p in enumerate(plans) if p == plan]
+        U[idx] = _taylor(X[idx], *plan)
     return U.reshape(shape)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .channels import DensityMatrix, DepolarizingEstimate, KrausChannel, twirl_discrete
 from .errors import DimensionMismatch, NotHermitian, SpectrumOutOfRange, TraceViolation, UnphysicalEpsilon
-from .user_recon import Observable, PureState, SpectralUnitary
+from .matrix_core import HermitianEig
+from .user_recon import Observable, PureState
 
 
 def exact_intermediate_expectation(psi, O, A) -> float:
@@ -49,16 +50,17 @@ def mc_haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
 
 
 def multiplicative_expectation(
-    psi: PureState, O: Observable, su: SpectralUnitary, eta: float
+    psi: PureState, O: Observable, su: HermitianEig, eta: float
 ) -> float:
-    """<psi| (U^dag)^eta O U^eta |psi>, evaluated spectrally; real for Hermitian O."""
+    """<psi| (U^dag)^eta O U^eta |psi>, evaluated spectrally from su =
+    spectral_decompose(U), U's phases and eigenbasis; real for Hermitian O."""
     if psi.dim != O.dim or psi.dim != su.dim:
         raise DimensionMismatch(
             f"dims differ: state {psi.dim}, observable {O.dim}, unitary {su.dim}"
         )
-    c = su.basis.conj().T @ psi.amplitudes
-    a = c * np.exp(1j * eta * su.phases)
-    value = complex(a.conj() @ (su.basis.conj().T @ O.matrix @ su.basis) @ a)
+    c = su.vectors.conj().T @ psi.amplitudes
+    a = c * np.exp(1j * eta * su.values)
+    value = complex(a.conj() @ (su.vectors.conj().T @ O.matrix @ su.vectors) @ a)
     return value.real
 
 

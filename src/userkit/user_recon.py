@@ -5,8 +5,10 @@ multiplicative family U^eta.  Expectation values along that family are
 band-limited trigonometric signals in eta, so sampling them at integer powers
 of a small fractional-power "discretization" unitary and sinc-interpolating
 recovers the value at eta = 1 -- the unitary the hardware cannot reach
-directly.  Sampling here is always done by iterated matrix multiplication;
-spectral fractional powers exist only for oracles and diagnostics.
+directly.  Sampling here is always done by iterated matrix multiplication.
+`spectral_decompose(U)` is the `HermitianEig` of U's principal logarithm, so
+`.expm_i(eta)` is the fractional power U^eta; only oracles and diagnostics
+(`userkit decompose`) read it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     NotNormalized,
     NotUnitary,
 )
-from .matrix_core import HermitianEig, as_matrix, eig_hermitian, is_unitary
+from .matrix_core import HermitianEig, _hermitian, as_matrix, eig_hermitian, is_unitary
 
 # Vectors held at once by each power chain of sample_integer_powers.
 _SAMPLE_BLOCK = 256
@@ -35,25 +37,6 @@ MAX_GRID_SAMPLES = 1 << 24
 RECON_TOL = 1e-14
 # reconstruction.csv interpolates eta in [0, ETA_MAX], so every grid covers it.
 ETA_MAX = 1.2
-
-
-@dataclass(frozen=True)
-class SpectralUnitary:
-    """Eigenphases in (-pi, pi] plus the unitary eigenbasis.
-
-    The closed branch convention [-pi, pi] is ambiguous at the endpoints;
-    we use the half-open principal branch (-pi, pi].
-    """
-
-    phases: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.phases.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        return (self.basis * np.exp(1j * self.phases)) @ self.basis.conj().T
 
 
 @dataclass(frozen=True)
@@ -74,14 +57,15 @@ class PureState:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian observable; its eigendecomposition `eig` is computed from
-    `matrix` on construction, which also checks Hermiticity."""
+    """Hermitian observable.  On construction `matrix` is checked Hermitian
+    and symmetrized, once, so it is exactly Hermitian; its eigendecomposition
+    `eig` is computed from it."""
 
     matrix: np.ndarray
     eig: HermitianEig = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = _hermitian(as_matrix(self.matrix))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eig", eig_hermitian(m))
 
@@ -94,8 +78,11 @@ class Observable:
         return float(self.eig.values[-1] - self.eig.values[0])
 
 
-def spectral_decompose(U) -> SpectralUnitary:
-    """Phases and eigenbasis of a unitary, phases sorted ascending in (-pi, pi]."""
+def spectral_decompose(U) -> HermitianEig:
+    """The decomposition of the principal logarithm Phi of a unitary U = e^{i Phi}:
+    its eigenvalues are U's phases, ascending in (-pi, pi] (the closed branch
+    [-pi, pi] is ambiguous at the endpoints), and its vectors U's eigenbasis,
+    so `.expm_i(eta)` is U^eta on that branch."""
     U = as_matrix(U)
     if not is_unitary(U):
         raise NotUnitary("input is not unitary within tolerance")
@@ -109,28 +96,23 @@ def spectral_decompose(U) -> SpectralUnitary:
     # would change its eigenvalue beyond the reconstruction check below.
     phases = np.where(phases == -pi, pi, phases)
     order = np.argsort(phases, kind="stable")
-    su = SpectralUnitary(phases=phases[order], basis=Q[:, order])
-    if float(np.max(np.abs(su.matrix() - U))) > 1e-8:
+    su = HermitianEig(values=phases[order], vectors=Q[:, order])
+    if float(np.max(np.abs(su.expm_i(1.0) - U))) > 1e-8:
         raise NotUnitary("spectral reconstruction defect exceeds 1e-8")
     return su
 
 
-def phase_separation(su: SpectralUnitary) -> float:
+def phase_separation(su: HermitianEig) -> float:
     """Max pairwise eigenphase difference, in [0, 2*pi].
 
     This is the frequency spread of the principal-branch family U^eta, not the
     circular spread of the eigenvalues: diag(e^{i(pi - 0.01)}, e^{-i(pi - 0.01)})
     gives 2 pi - 0.02, because U^eta rotates its two phases in opposite
     directions.  The circular spread 0.02 belongs to another branch."""
-    return float(np.max(su.phases) - np.min(su.phases))
+    return float(np.max(su.values) - np.min(su.values))
 
 
-def unitary_power(su: SpectralUnitary, eta: float) -> np.ndarray:
-    """Fractional power U^eta through the spectral calculus."""
-    return (su.basis * np.exp(1j * eta * su.phases)) @ su.basis.conj().T
-
-
-def aliasing_rate(su: SpectralUnitary) -> float:
+def aliasing_rate(su: HermitianEig) -> float:
     """pi / P: the largest alias-free sampling step of the multiplicative family."""
     P = phase_separation(su)
     if P <= 0.0:

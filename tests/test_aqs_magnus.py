@@ -4,7 +4,6 @@ import scipy.linalg
 
 from userkit import aqs_magnus
 from userkit.aqs_magnus import (
-    _EVOLVE_BLOCK_ENTRIES,
     EvolutionSpec,
     HamiltonianFamily,
     SequencePlan,
@@ -18,7 +17,7 @@ from userkit.aqs_magnus import (
 from userkit.config import TWIRL_STEPS, _simulable_twirl_set, _twirl_drives, preset_config, resolve_config
 from userkit.errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
 from userkit.lattice import LatticeSpec, build_lattice_family
-from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
+from userkit.matrix_core import BLOCK_ENTRIES, expm_hermitian_i, hermiticity_defect, is_unitary
 from userkit.sear import SearConfig, generate_approx_unitaries
 from conftest import random_hermitian, random_target_A
 
@@ -101,7 +100,7 @@ class TestTimeOrderedEvolve:
         # each slice of [0, t] is one Magnus-4 step; at d=24 a block holds 7:
         # 16, 21 and 22 steps end inside a block, on its boundary and one step
         # past it; at d=96 it holds one
-        assert _EVOLVE_BLOCK_ENTRIES // 24**2 == 7 and _EVOLVE_BLOCK_ENTRIES // 96**2 == 0
+        assert BLOCK_ENTRIES // 24**2 == 7 and BLOCK_ENTRIES // 96**2 == 0
         fam = linear_drive_family() if d == 2 else build_lattice_family(LatticeSpec(n_sites=d))
         spec = EvolutionSpec(gamma=6.5, t_final=0.7, n_steps=n_steps)
         h = spec.t_final / n_steps

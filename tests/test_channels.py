@@ -349,12 +349,6 @@ class TestTwirlKernel:
         with pytest.raises(NotUnitary):
             twirl_discrete(ch, [np.eye(2), 1.1 * np.eye(2)], psi, O)
 
-    def test_non_hermitian_observable_raises(self):
-        O = non_hermitian_observable()
-        ch = KrausChannel((np.eye(2, dtype=complex),))
-        with pytest.raises(NotHermitian):
-            twirl_discrete(ch, [np.eye(2)], PureState(np.array([1.0, 0.0])), O)
-
     def test_output_trace_checked(self):
         # A set passed as already checked skips the unitarity check, so a
         # scaled member gets through; the output trace 1.01^4 then fails.
@@ -428,10 +422,6 @@ class TestNoiseStrengthQuotient:
         psi, O = self._setup(rng, d=3)
         with pytest.raises(DimensionMismatch):
             noise_strength_from_expectation(0.3, PureState(random_state(rng, 2)), O)
-
-    def test_non_hermitian_observable_raises(self):
-        with pytest.raises(NotHermitian):
-            noise_strength_from_expectation(0.3, PureState(np.array([1.0, 0.0])), non_hermitian_observable())
 
 
 class TestDepolarize:

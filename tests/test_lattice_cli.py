@@ -34,6 +34,7 @@ from userkit.lattice import (
 from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
 from userkit.oracle import exact_intermediate_expectation
 from userkit.sear import run_sear
+from userkit.user_recon import Observable
 
 
 def run_library(cfg_path):
@@ -538,6 +539,49 @@ class TestCli:
         per_k = json.loads((tmp_path / "out" / "epsilon.json").read_text())["per_k"]
         assert all(0.0 <= eps < 1e-14 for eps in per_k) and 0.0 in per_k
         assert 0.0 <= result["epsilon"] < 1e-14 and result["error_bar"] >= 0.0
+
+    @pytest.mark.parametrize("command", ["run", "twirl", "preset"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, command):
+        # an output path that cannot be written, under a regular file or where
+        # a directory holds the artifact's name, is a config error naming the
+        # path, not a traceback, and leaves no temporary file behind
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        taken = tmp_path / "taken"
+        (taken / "epsilon.json").mkdir(parents=True)
+        for out, named in ((blocker / "out", blocker / "out"), (taken, taken / "epsilon.json")):
+            if command == "preset":
+                argv = ["preset", "exact-small", "--out-file", str(named)]
+            else:
+                argv = [command, str(write_config(tmp_path, "exact-small", output_dir=str(out)))]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and str(named) in err
+            assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_large_hermitian_file_observable_simulable(self, tmp_path, rng):
+        # An exactly Hermitian observable of norm about 1e8: the mixing law's
+        # <psi|O|psi> and Tr[rho O] carry an imaginary rounding residue far
+        # above 1e-10, which is not a Hermiticity defect; epsilon does not
+        # depend on the observable's scale.
+        G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        M = 0.5 * (G + G.conj().T)
+        epsilons = []
+        for scale in (1.0, 1e8):
+            obs = tmp_path / f"obs-{scale:g}.mat"
+            write_matrix_file(str(obs), scale * M)
+            O = Observable(read_matrix_file(str(obs)))
+            assert np.array_equal(O.matrix, O.matrix.conj().T)
+            out_dir = tmp_path / f"out-{scale:g}"
+            cfg_path = write_config(
+                tmp_path, "noisy-16", n_sites=8, n_t=16, twirl_mode="simulable", observable=f"file:{obs}"
+            )
+            assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+            epsilons.append(json.loads((out_dir / "result.json").read_text())["epsilon"])
+        assert epsilons[1] == pytest.approx(epsilons[0], rel=1e-12, abs=0)
+        # a matrix within TOL_EIG of Hermitian is stored exactly Hermitian
+        O = Observable(M + 1e-12 * np.triu(G, 1))
+        assert np.array_equal(O.matrix, O.matrix.conj().T)
 
     def test_decompose(self, tmp_path, capsys):
         path = str(tmp_path / "u.txt")

@@ -16,6 +16,7 @@ from userkit.matrix_core import (
     eigvals_hermitian,
     expm_hermitian_i,
     is_unitary,
+    unitarity_defect,
 )
 from conftest import random_hermitian
 
@@ -79,6 +80,12 @@ def test_expm_group_property(rng):
 def test_is_unitary():
     assert is_unitary(np.eye(4))
     assert not is_unitary(np.diag([1.0, 2.0]))
+    # [[1, e], [0, 1]] has U U^dag - I = [[e^2, e], [e, 0]], and 1 + e^2 rounds
+    # to 1: the defect is e exactly, and the check switches exactly at TOL_UNITARY
+    for e, unitary in ((TOL_UNITARY, True), (np.nextafter(TOL_UNITARY, 1.0), False)):
+        U = np.array([[1.0, e], [0.0, 1.0]])
+        assert unitarity_defect(U) == e
+        assert is_unitary(U) is unitary
 
 
 def test_is_unitary_qr_gaussian(rng):
@@ -86,6 +93,10 @@ def test_is_unitary_qr_gaussian(rng):
     Q, _ = np.linalg.qr(Z)
     assert is_unitary(Q)
     assert is_unitary(expm_hermitian_i(random_hermitian(rng, 5), 2.3))
+    # a stack's defect is the largest of its slices' single defects, bit for bit
+    stack = np.stack([Q, expm_hermitian_i(random_hermitian(rng, 5), 2.3), (1.0 + 1e-7) * Q, np.eye(5)])
+    defects = [unitarity_defect(U) for U in stack]
+    assert unitarity_defect(stack) == max(defects) == defects[2]
 
 
 class TestStacks:

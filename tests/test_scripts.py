@@ -57,10 +57,11 @@ def test_bench_smoke():
     assert "passed" in out and "failed" not in out
 
 
-@pytest.mark.parametrize("workload", ["noisy-16", "simulable-twirl"])
+@pytest.mark.parametrize("workload", ["noisy-16", "lattice-128", "offgrid-exact", "simulable-twirl"])
 def test_perfbench_tracer_smoke(workload):
-    # the tracer binds library functions and their argument names; a traced
-    # run must still bind them all and check out
+    # the tracer binds every public library function and the argument names it
+    # keeps; a traced run of each workload must still bind them all and check
+    # out (offgrid-exact is the one that writes all four artifacts)
     out = run_python(
         "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"
     )

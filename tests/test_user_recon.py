@@ -20,14 +20,12 @@ from userkit.user_recon import (
     RECON_TOL,
     Observable,
     PureState,
-    SpectralUnitary,
     aliasing_rate,
     phase_separation,
     required_n_l,
     sample_integer_powers,
     sinc_reconstruct,
     spectral_decompose,
-    unitary_power,
     user_reconstruct,
 )
 from conftest import no_defect_slack, random_hermitian, random_state, random_target_A
@@ -35,23 +33,23 @@ from conftest import no_defect_slack, random_hermitian, random_state, random_tar
 
 def su_from_phases(phases):
     phases = np.asarray(phases, dtype=float)
-    return SpectralUnitary(phases=phases, basis=np.eye(len(phases), dtype=complex))
+    return HermitianEig(values=phases, vectors=np.eye(len(phases), dtype=complex))
 
 
 class TestSpectralDecompose:
     def test_identity(self):
         su = spectral_decompose(np.eye(3))
-        assert np.allclose(su.phases, 0.0)
+        assert np.allclose(su.values, 0.0)
 
     def test_pauli_x(self):
         su = spectral_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(np.sort(su.phases), [0.0, np.pi])
+        assert np.allclose(np.sort(su.values), [0.0, np.pi])
 
     def test_phases_match_generator(self, rng):
         H = random_hermitian(rng, 5)
         H *= 2.5 / np.max(np.abs(np.linalg.eigvalsh(H)))  # spectrum inside (-pi, pi)
         su = spectral_decompose(expm_hermitian_i(H, 1.0))
-        assert np.max(np.abs(np.sort(su.phases) - np.sort(np.linalg.eigvalsh(H)))) < 1e-8
+        assert np.max(np.abs(np.sort(su.values) - np.sort(np.linalg.eigvalsh(H)))) < 1e-8
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
@@ -62,22 +60,22 @@ class TestSpectralDecompose:
 
         U = mc_haar_unitary(6, 42)
         su = spectral_decompose(U)
-        assert np.max(np.abs(su.matrix() - U)) < 1e-8
+        assert np.max(np.abs(su.expm_i(1.0) - U)) < 1e-8
 
     @pytest.mark.parametrize("offset", [2e-5, 1e-7])
     def test_phase_near_minus_pi_kept(self, offset):
         U = np.diag([np.exp(1j * (-np.pi + offset)), np.exp(0.3j)])
         su = spectral_decompose(U)
-        assert su.phases[0] == pytest.approx(-np.pi + offset, abs=1e-12)
-        assert np.max(np.abs(su.matrix() - U)) < 1e-8
+        assert su.values[0] == pytest.approx(-np.pi + offset, abs=1e-12)
+        assert np.max(np.abs(su.expm_i(1.0) - U)) < 1e-8
 
     @pytest.mark.parametrize(
         "U", [np.diag([-1.0, 1.0]), np.diag([np.exp(-1j * np.pi), 1.0])], ids=["minus_one", "exp_minus_i_pi"]
     )
     def test_minus_one_reports_plus_pi(self, U):
         su = spectral_decompose(U)
-        assert su.phases[-1] == np.pi
-        assert np.max(np.abs(su.matrix() - U)) < 1e-8
+        assert su.values[-1] == np.pi
+        assert np.max(np.abs(su.expm_i(1.0) - U)) < 1e-8
 
 
 class TestPureState:
@@ -127,23 +125,23 @@ class TestPhaseSeparation:
 class TestUnitaryPower:
     def test_zero_power_identity(self, rng):
         su = spectral_decompose(expm_hermitian_i(random_hermitian(rng, 4), 0.5))
-        assert np.allclose(unitary_power(su, 0.0), np.eye(4))
+        assert np.allclose(su.expm_i(0.0), np.eye(4))
 
     def test_quarter_turn_squared(self):
         su = spectral_decompose(np.diag([1.0, 1j]))
-        assert np.allclose(unitary_power(su, 2.0), np.diag([1.0, -1.0]))
+        assert np.allclose(su.expm_i(2.0), np.diag([1.0, -1.0]))
 
     def test_identity_roundtrip(self, rng):
         from userkit.oracle import mc_haar_unitary
 
         U = mc_haar_unitary(5, 7)
         su = spectral_decompose(U)
-        assert np.max(np.abs(unitary_power(su, 1.0) - U)) < 1e-8
+        assert np.max(np.abs(su.expm_i(1.0) - U)) < 1e-8
 
     def test_power_composition(self, rng):
         su = spectral_decompose(expm_hermitian_i(random_hermitian(rng, 4), 0.4))
-        lhs = unitary_power(su, 0.3) @ unitary_power(su, 1.1)
-        assert np.max(np.abs(lhs - unitary_power(su, 1.4))) < 1e-9
+        lhs = su.expm_i(0.3) @ su.expm_i(1.1)
+        assert np.max(np.abs(lhs - su.expm_i(1.4))) < 1e-9
 
 
 class TestMultiplicativeExpectation:
@@ -168,7 +166,7 @@ class TestMultiplicativeExpectation:
         O = Observable(np.diag([1.0, -1.0]))
         su = su_from_phases([0.0, 0.7])
         eta = 1.3
-        U_eta = unitary_power(su, eta)
+        U_eta = su.expm_i(eta)
         v = U_eta @ psi.amplitudes
         oracle = float(np.real(v.conj() @ O.matrix @ v))
         assert multiplicative_expectation(psi, O, su, eta) == pytest.approx(oracle, abs=1e-10)
@@ -181,7 +179,7 @@ class TestMultiplicativeExpectation:
         psi = PureState(random_state(rng, d))
         O = Observable(random_hermitian(rng, d))
         su = spectral_decompose(expm_hermitian_i(random_hermitian(rng, d), 0.4))
-        U_eta = unitary_power(su, eta)
+        U_eta = su.expm_i(eta)
         v = U_eta @ psi.amplitudes
         oracle = float(np.real(v.conj() @ O.matrix @ v))
         assert multiplicative_expectation(psi, O, su, eta) == pytest.approx(oracle, abs=1e-10)
