@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aqs_magnus import EvolutionSpec, time_ordered_evolve
+from .channels import noise_strength_from_expectation
 from .errors import ConfigError, NotHermitian
 from .lattice import (
     LatticeSpec,
@@ -174,7 +175,8 @@ class Experiment:
     target A (with the evolution time t_eff it stands for), probe, observable,
     twirl set and ensemble settings.  The twirl set, an (n_t, d, d) stack, is
     None for the Haar measure, and empty in simulable mode for a zero-spread
-    observable, whose noise strengths are 0 whatever the set."""
+    observable, whose noise strengths are 0 whatever the set; a probe that
+    resolves no noise strength through O fails before any member is evolved."""
 
     target_A: np.ndarray
     t_eff: float
@@ -197,16 +199,18 @@ class Experiment:
             raise ConfigError(f"observable {r['observable']!r}: {exc}") from exc
         if O.dim != lattice.n_sites:
             raise ConfigError(f"observable has dimension {O.dim}, n_sites is {lattice.n_sites}")
+        psi = PureState(probe_state_vector(r["probe_state"], lattice))
         if r["twirl_mode"] == "haar":
             twirl_set = None
         elif O.spread() <= TOL_EIG:  # no noise strength is read through it
             twirl_set = np.empty((0, O.dim, O.dim), dtype=complex)
         else:
+            noise_strength_from_expectation(0.0, psi, O)  # the probe's check, before the set is built
             twirl_set = _simulable_twirl_set(r, lattice)
         return cls(
             target_A=target_A,
             t_eff=r["evolution_time"] / rescale,
-            psi=PureState(probe_state_vector(r["probe_state"], lattice)),
+            psi=psi,
             O=O,
             twirl_set=twirl_set,
             sear=cfg.sear,

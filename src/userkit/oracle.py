@@ -6,20 +6,22 @@ builds on `channels` and `user_recon`, so imports run one way only:
 `tests/test_oracle.py` checks that `userkit.cli` leaves it unloaded.
 
 The density-matrix references (`density_from_pure`, `expectation`,
-`apply_channel`, `depolarize`) take `channels.DensityMatrix`, which stays in
-`channels` while the benchmark tracer (`perfbench/layertrace.py`,
-`CONSTRUCTORS`) binds it there.  `twirl_haar_mc` twirls through
-`channels.twirl_discrete`, over Haar draws from `mc_haar_unitary`.
+`apply_channel`, `depolarize`) take `channels.DensityMatrix`, and the channel
+references (`sear_error_channel`, `twirl_discrete`, `twirl_haar_mc`)
+`channels.KrausChannel`.  `twirl_discrete` runs the kernel that
+`channels.twirl_set_all` runs, and `twirl_analytic` is one row of
+`channels.twirl_analytic_all`, so each agrees with the run path bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from .channels import DensityMatrix, DepolarizingEstimate, KrausChannel, twirl_discrete
-from .errors import DimensionMismatch, NotHermitian, SpectrumOutOfRange, TraceViolation, UnphysicalEpsilon
+from .channels import DensityMatrix, KrausChannel, _haar_strengths, _set_strengths, unitary_stack
+from .errors import BadLength, DimensionMismatch, NotHermitian, SpectrumOutOfRange, TraceViolation, UnphysicalEpsilon
 from .matrix_core import HermitianEig
 from .user_recon import Observable, PureState
 
@@ -62,6 +64,49 @@ def multiplicative_expectation(
     a = c * np.exp(1j * eta * su.values)
     value = complex(a.conj() @ (su.vectors.conj().T @ O.matrix @ su.vectors) @ a)
     return value.real
+
+
+@dataclass(frozen=True)
+class DepolarizingEstimate:
+    epsilon: float
+    stderr: float
+
+
+def _checked(U_i, approx_list) -> tuple[np.ndarray, np.ndarray]:
+    """U_i and the stacked members, at least one, checked unitary and of one dimension."""
+    members = unitary_stack(approx_list)
+    if not len(members):
+        raise BadLength("need at least one ensemble member")
+    U_i = unitary_stack([U_i])[0]
+    if members.shape[1:] != U_i.shape:
+        raise DimensionMismatch(f"members differ in dimension from U_i ({U_i.shape[0]})")
+    return U_i, members
+
+
+def sear_error_channel(U_i, approx_list) -> KrausChannel:
+    """Mixed-unitary channel with Kraus (1/sqrt(n_a)) U_a^(mu) U_i^dag.
+
+    Applying it to U_i rho U_i^dag and taking Tr[. O] reproduces the arithmetic
+    mean of the n_a approximate expectation values exactly.
+    """
+    U_i, members = _checked(U_i, approx_list)
+    w = 1.0 / np.sqrt(len(members))
+    return KrausChannel(tuple(w * (U @ U_i.conj().T) for U in members))
+
+
+def twirl_analytic(U_i, approx_list) -> DepolarizingEstimate:
+    """Closed-form Haar twirl of sear_error_channel(U_i, approx_list), from the
+    overlaps Tr U_a U_i^dag alone, without building the channel."""
+    U_i, members = _checked(U_i, approx_list)
+    return DepolarizingEstimate(epsilon=float(_haar_strengths(U_i[None], members)[0]), stderr=0.0)
+
+
+def twirl_discrete(ch: KrausChannel, twirl_set, probe: PureState, O: Observable) -> DepolarizingEstimate:
+    """Discrete twirl of `ch` over an explicit unitary set, on the pure probe:
+    the mean and standard error of the members' noise strengths."""
+    eps = _set_strengths(np.stack(ch.kraus), unitary_stack(twirl_set), probe, O)
+    stderr = float(np.std(eps, ddof=1) / np.sqrt(eps.size)) if eps.size > 1 else 0.0
+    return DepolarizingEstimate(epsilon=float(np.mean(eps)), stderr=stderr)
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aqs_magnus import SequencePlan, _check_target_spectrum, approx_discretization_unitary, design_sequence
-from .channels import _unitary_members, sear_error_channel, twirl_analytic_all, twirl_discrete
+from .channels import twirl_analytic_all, twirl_set_all, unitary_stack
 from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, eigvals_hermitian, finite_floats
 from .user_recon import Observable, PureState, required_n_l, user_reconstruct
 
@@ -100,23 +100,23 @@ def estimate_noise_strength(
     psi: PureState,
     O: Observable,
 ) -> tuple[float, list[float]]:
-    """Per-k twirl of the defect channel measured against member k,
-    sear_error_channel(U_k, [U_1 .. U_n]), then the mean.  twirl_set None is the
-    Haar measure, in closed form from overlaps (no channel built, no probe read);
-    an explicit set is twirled on the probe.  Members and set are checked unitary
+    """Per-k twirl of member k's defect channel, with Kraus operators
+    U_a U_k^dag / sqrt(n) over the n members U_a, then the mean.  twirl_set None
+    is the Haar measure, in closed form from overlaps (no probe read); an
+    explicit set is twirled on the probe.  Members and set are checked unitary
     once, not once per k.  With an explicit set and a zero-spread observable (a
     multiple of the identity) no probe can resolve a noise strength, and none is
-    needed: every per_k is 0, once the set is checked."""
-    unitaries = _unitary_members(U_k for U_k, _, _ in approx_list)
+    needed: every per_k is 0, once both stacks are checked."""
+    unitaries = [U_k for U_k, _, _ in approx_list]
     if twirl_set is None:
-        per_k = twirl_analytic_all(unitaries).tolist()
+        per_k = twirl_analytic_all(unitaries)
+    elif O.spread() <= TOL_EIG:
+        unitary_stack(unitaries)
+        unitary_stack(twirl_set)
+        per_k = np.zeros(len(unitaries))
     else:
-        members = _unitary_members(twirl_set)
-        if O.spread() <= TOL_EIG:
-            per_k = [0.0] * len(unitaries)
-        else:
-            per_k = [twirl_discrete(sear_error_channel(U_k, unitaries), members, psi, O).epsilon for U_k in unitaries]
-    return float(np.mean(per_k)), per_k
+        per_k = twirl_set_all(unitaries, twirl_set, psi, O)
+    return float(np.mean(per_k)), per_k.tolist()
 
 
 def run_sear(

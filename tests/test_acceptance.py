@@ -16,7 +16,7 @@ import pytest
 from conftest import no_defect_slack, random_hermitian, random_state, random_target_A
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
-from userkit.channels import noise_strength_from_expectation, sear_error_channel, twirl_analytic
+from userkit.channels import noise_strength_from_expectation
 from userkit.cli import main
 from userkit.config import Experiment, preset_config, resolve_config
 from userkit.lattice import LatticeSpec, build_lattice_family
@@ -27,6 +27,8 @@ from userkit.oracle import (
     exact_intermediate_expectation,
     expectation,
     mc_haar_unitary,
+    sear_error_channel,
+    twirl_analytic,
     twirl_haar_mc,
 )
 from userkit.sear import SearConfig, run_sear

@@ -4,13 +4,10 @@ import pytest
 from userkit.channels import (
     DensityMatrix,
     KrausChannel,
-    _UnitaryMembers,
-    _unitary_members,
+    _set_strengths,
     noise_strength_from_expectation,
-    sear_error_channel,
-    twirl_analytic,
     twirl_analytic_all,
-    twirl_discrete,
+    unitary_stack,
 )
 from userkit.errors import (
     BadLength,
@@ -29,6 +26,9 @@ from userkit.oracle import (
     depolarize,
     expectation,
     mc_haar_unitary,
+    sear_error_channel,
+    twirl_analytic,
+    twirl_discrete,
     twirl_haar_mc,
 )
 from userkit.user_recon import Observable, PureState
@@ -226,7 +226,7 @@ class TestTwirlAnalytic:
     def test_all_members_at_once(self, rng):
         # 300 members at d=16 take the overlaps in blocks of rows: each member's
         # eps is its own twirl_analytic call, bit for bit
-        members = _unitary_members(random_unitaries(rng, 16, 300))
+        members = unitary_stack(random_unitaries(rng, 16, 300))
         per_k = twirl_analytic_all(members)
         assert per_k.shape == (300,) and np.all(per_k > 0.0)
         assert np.array_equal(per_k, [twirl_analytic(U, members).epsilon for U in members])
@@ -350,20 +350,20 @@ class TestTwirlKernel:
             twirl_discrete(ch, [np.eye(2), 1.1 * np.eye(2)], psi, O)
 
     def test_output_trace_checked(self):
-        # A set passed as already checked skips the unitarity check, so a
-        # scaled member gets through; the output trace 1.01^4 then fails.
-        ch = KrausChannel((np.eye(2, dtype=complex),))
+        # The kernel takes a set already checked, so a scaled member gets
+        # through; the output trace 1.01^4 then fails.
+        kraus = np.eye(2, dtype=complex)[None]
         O = Observable(Z)
-        members = _UnitaryMembers([1.01 * np.eye(2)])
+        members = np.array([1.01 * np.eye(2)], dtype=complex)
         with pytest.raises(TraceViolation):
-            twirl_discrete(ch, members, PureState(np.array([1.0, 0.0])), O)
+            _set_strengths(kraus, members, PureState(np.array([1.0, 0.0])), O)
 
     def test_later_member_trace_checked(self):
         # every member's output trace is checked, not only the first one's
-        ch = KrausChannel((np.eye(2, dtype=complex),))
-        members = _UnitaryMembers([np.eye(2), np.eye(2), 1.01 * np.eye(2)])
+        kraus = np.eye(2, dtype=complex)[None]
+        members = np.array([np.eye(2), np.eye(2), 1.01 * np.eye(2)], dtype=complex)
         with pytest.raises(TraceViolation, match="1.0406"):
-            twirl_discrete(ch, members, PureState(np.array([1.0, 0.0])), Observable(Z))
+            _set_strengths(kraus, members, PureState(np.array([1.0, 0.0])), Observable(Z))
 
     def test_set_dimension_checked(self, rng):
         ch = KrausChannel((np.eye(2, dtype=complex),))
@@ -459,23 +459,21 @@ class TestUnitaryMembers:
         # 40 members at d=16 are checked 16 at a time: a bad one in the last
         # block is found
         members = random_unitaries(rng, 16, 40)
-        assert len(_unitary_members(members)) == 40
+        assert len(unitary_stack(members)) == 40
         members[37] = members[37] * (1.0 + 1e-8)
         with pytest.raises(NotUnitary):
-            _unitary_members(members)
+            unitary_stack(members)
         with pytest.raises(NotUnitary):
-            _unitary_members(np.stack(members))
+            unitary_stack(np.stack(members))
 
     def test_array_not_copied(self, rng):
         stack = np.stack(random_unitaries(rng, 4, 5))
-        members = _unitary_members(stack)
-        assert members.stack is stack and all(np.shares_memory(W, stack) for W in members)
-        assert _unitary_members(members) is members
+        assert unitary_stack(stack) is stack
 
     def test_non_finite_member_rejected(self, rng):
         stack = np.stack(random_unitaries(rng, 3, 4))
         stack[2, 1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            _unitary_members(stack)
+            unitary_stack(stack)
         with pytest.raises(ValueError, match="finite"):
-            _unitary_members(list(stack))
+            unitary_stack(list(stack))

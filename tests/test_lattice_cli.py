@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from userkit import config as config_module
 from userkit import sear as sear_module
+from userkit.channels import DensityMatrix, KrausChannel
 from userkit.cli import main
 from userkit.config import (
     KNOWN_KEYS,
@@ -490,6 +491,35 @@ class TestCli:
         assert (tmp_path / "run" / "epsilon.json").read_bytes() == doc
         assert json.loads(doc)["per_k"] == [0.0] * 4
         assert json.loads((tmp_path / "run" / "result.json").read_text())["error_bar"] == 0.0
+
+    @pytest.mark.parametrize("command", ["run", "twirl"])
+    def test_unresolvable_probe_evolves_no_twirl_member(self, tmp_path, capsys, monkeypatch, command):
+        # every probe the config can express is real and gives <p> = Tr[p]/d
+        # for momentum-proxy, so no simulable noise strength can be read: the
+        # config exits 3 before any twirl-set member is evolved
+        calls = []
+        evolve = config_module.time_ordered_evolve
+        monkeypatch.setattr(config_module, "time_ordered_evolve", lambda *args: calls.append(args) or evolve(*args))
+        cfg_path = write_config(tmp_path, "noisy-16", observable="momentum-proxy", twirl_mode="simulable", n_t=8)
+        assert main([command, str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "DegenerateDenominator"
+        assert len(calls) == 0
+
+    def test_simulable_builds_no_channel_object(self, tmp_path, monkeypatch):
+        # run and twirl twirl the member and set stacks as plain arrays
+        inits = collections.Counter()
+        for cls in (KrausChannel, DensityMatrix):
+
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                inits[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        cfg_path = write_config(tmp_path, "noisy-16", twirl_mode="simulable", n_t=8)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        assert main(["twirl", str(cfg_path), "--out", str(tmp_path / "twirl")]) == 0
+        assert sum(inits.values()) == 0
 
     def test_twirl_generator_beyond_squaring_bound_exit_3(self, tmp_path, capsys):
         # mass 1e-300 puts the step generators' 1-norm near 1e298: far more

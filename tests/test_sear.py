@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from userkit.aqs_magnus import approx_discretization_unitary, design_sequence
-from userkit.channels import sear_error_channel, twirl_analytic
+from userkit.channels import twirl_set_all
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
-from userkit.oracle import mc_haar_unitary
+from userkit.oracle import mc_haar_unitary, sear_error_channel, twirl_analytic, twirl_discrete
 from userkit.sear import SearConfig, band_slack, estimate_noise_strength, generate_approx_unitaries, run_sear
 from userkit.user_recon import Observable, PureState, required_n_l, user_reconstruct
 from conftest import random_hermitian, random_state, random_target_A
@@ -161,15 +161,16 @@ class TestEstimateNoiseStrength:
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4)
         approx = generate_approx_unitaries(A, cfg)
-        from userkit.channels import twirl_discrete
-
         twirl_set = haar_twirl_set(4, 500, 8)
         mean_eps, per_k = estimate_noise_strength(approx, twirl_set, psi, O)
         unitaries = [U for U, _, _ in approx]
+        all_k = twirl_set_all(unitaries, twirl_set, psi, O)
         for k, eps_k in enumerate(per_k):
             an = twirl_analytic(unitaries[k], unitaries)
             est = twirl_discrete(sear_error_channel(unitaries[k], unitaries), twirl_set, psi, O)
             assert eps_k == pytest.approx(est.epsilon, abs=1e-12)
+            # the stacked twirl is the channel-object reference, bit for bit
+            assert all_k[k] == est.epsilon
             # small eps is dominated by the O(1/sqrt(n_t)) twirl fluctuation
             assert abs(eps_k - an.epsilon) <= 3.0 * est.stderr + 1e-10
 
