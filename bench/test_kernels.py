@@ -3,29 +3,31 @@
     python -m pytest bench --benchmark-only
 
 `generate_approx_unitaries` designs the whole ensemble of the `noisy-16`
-preset (four members of `n_s = 4` pulses each: the pulse exponentials, their
-product `U_sd` and `U_k = U_sd^tau`) at d=16 and at n_sites=128, as `userkit
-twirl` does; `run` designs the same ensemble after checking `A` from its one
-decomposition.  `sample_integer_powers` runs on the grid of the last ensemble
-member (lambda = 0.1, the longest grid) of the `noisy-16` preset at d=16 and of
-the same config at n_sites=128, and `sinc_reconstruct` interpolates the value
-at eta = 1 from that member's samples; the haar noise stage,
-`estimate_noise_strength(approx, None, psi, O)` as `run` calls it in
-`twirl_mode: haar` (the ensemble checked once, then every member's closed form
-at once from the stacked members' overlaps, `twirl_analytic_all`), runs on the
-whole ensemble of `noisy-16` at d=16 and at n_sites=128; `twirl_set_all`
-twirls the defect channel of every member of that ensemble at d=16 over the
-64-member simulable twirl set of `noisy-16` with `twirl_mode: simulable`,
-`n_t: 64` (both stacks checked once per call, then per member one Kraus stack
-and `chi` formed for all set members at once); `time_ordered_evolve` builds one
-member of the simulable twirl set (`twirl_mode: simulable`, `TWIRL_STEPS` = 16
-fourth-order Magnus steps) of `noisy-16` at d=16 and at n_sites=128;
+preset (four members of `n_s = 4` pulses each: each member's pulse stack, its
+ordered product `U_sd = expm_product(pulses, 1.0)` and `U_k = U_sd^tau`,
+returned as the two `(n_a, d, d)` stacks `(U_k, U_sd)`) at d=16 and at
+n_sites=128, as `userkit twirl` does; `run` designs the same ensemble after
+checking `A` from its one decomposition.  `sample_integer_powers` runs on the
+grid of the last ensemble member's `U_sd` (lambda = 0.1, the longest grid) of
+the `noisy-16` preset at d=16 and of the same config at n_sites=128, and
+`sinc_reconstruct` interpolates the value at eta = 1 from that member's
+samples; the haar noise stage, `estimate_noise_strength(U_k, None, psi, O)` as
+`run` calls it in `twirl_mode: haar` (the `U_k` stack checked once, then every
+member's closed form at once from the stacked members' overlaps,
+`twirl_analytic_all`), runs on the whole ensemble of `noisy-16` at d=16 and at
+n_sites=128; `twirl_set_all` twirls the defect channel of every `U_k` of that
+ensemble at d=16 over the 64-member simulable twirl set of `noisy-16` with
+`twirl_mode: simulable`, `n_t: 64` (both stacks checked once per call, then
+per member one Kraus stack and `chi` formed for all set members at once);
+`time_ordered_evolve` builds one member of the simulable twirl set
+(`twirl_mode: simulable`, `TWIRL_STEPS` = 16 fourth-order Magnus steps,
+multiplied out by `expm_product`) of `noisy-16` at d=16 and at n_sites=128;
 `magnus_truncated` forms the order-2 Magnus operator of the lattice family at
 the same drive, on a 128-step midpoint grid (acceptance criterion 3 and
 `scripts/magnus_slopes.py` use 1,024 steps), at d=16 and at n_sites=128;
 `expm_hermitian_i` exponentiates the first block of step generators `G_n` that
-`time_ordered_evolve` exponentiates at once for that member (a stack of 16 at
-d=16 and one matrix at n_sites=128), from matrix products, and `eig_hermitian`
+`expm_product` exponentiates at once for that member (a stack of 16 at d=16
+and one matrix at n_sites=128), from matrix products, and `eig_hermitian`
 decomposes the same block, as `run_sear`'s exact reference decomposes `A`.
 `bench/` is outside the test suite's `testpaths`, so a plain `pytest` run
 skips it.
@@ -51,18 +53,18 @@ def noisy_experiment(n_sites, **overrides):
 
 @pytest.fixture(scope="module", params=[16, 128], ids=["d16", "d128"])
 def last_member(request):
-    """The inputs and the record of the last ensemble member of a run."""
-    exp, approx = noisy_experiment(request.param)
+    """The inputs, the U_sd and the record of the last ensemble member of a run."""
+    exp, (_, U_sd) = noisy_experiment(request.param)
     res = run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
-    return exp, approx[-1][1], res.per_sample[-1]
+    return exp, U_sd[-1], res.per_sample[-1]
 
 
 @pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])
 def test_generate_approx_unitaries(benchmark, n_sites):
     raw = dict(preset_config("noisy-16").raw, n_sites=n_sites)
     exp = Experiment.from_config(resolve_config(raw))
-    approx = benchmark(generate_approx_unitaries, exp.target_A, exp.sear)
-    assert len(approx) == len(exp.sear.lambdas)
+    U_k, U_sd = benchmark(generate_approx_unitaries, exp.target_A, exp.sear)
+    assert U_k.shape == U_sd.shape == (len(exp.sear.lambdas), n_sites, n_sites)
 
 
 def test_sample_integer_powers(benchmark, last_member):
@@ -80,17 +82,16 @@ def test_sinc_reconstruct(benchmark, last_member):
 
 @pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])
 def test_twirl_closed_form(benchmark, n_sites):
-    exp, approx = noisy_experiment(n_sites)
+    exp, (U_k, _) = noisy_experiment(n_sites)
     assert exp.twirl_set is None  # twirl_mode: haar
-    mean_eps, per_k = benchmark(estimate_noise_strength, approx, None, exp.psi, exp.O)
-    assert mean_eps > 0.0 and len(per_k) == len(approx)
+    mean_eps, per_k = benchmark(estimate_noise_strength, U_k, None, exp.psi, exp.O)
+    assert mean_eps > 0.0 and len(per_k) == len(U_k)
 
 
 def test_twirl_set_all_d16(benchmark):
-    exp, approx = noisy_experiment(16, twirl_mode="simulable", n_t=64)
-    unitaries = [U_k for U_k, _, _ in approx]
-    per_k = benchmark(twirl_set_all, unitaries, exp.twirl_set, exp.psi, exp.O)
-    assert per_k.shape == (len(unitaries),)
+    exp, (U_k, _) = noisy_experiment(16, twirl_mode="simulable", n_t=64)
+    per_k = benchmark(twirl_set_all, U_k, exp.twirl_set, exp.psi, exp.O)
+    assert per_k.shape == (len(U_k),)
 
 
 @pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])

@@ -5,7 +5,9 @@ synthetic sequence designer.
 The truncated Magnus operators are measured against the time-ordered
 evolution (acceptance criterion 3, `scripts/magnus_slopes.py`); no designer
 reads them.  `design_sequence` builds each member's pulses from the target
-plus a seeded defect, not from drives.
+plus a seeded defect, not from drives, and returns them as one (n_s, d, d)
+stack.  Both ordered products here, a member's U_sd = prod_xi e^{i M_xi} and
+the time-ordered evolution prod_n e^{-i G_n}, are `matrix_core.expm_product`.
 
 Sign convention throughout: U(t) = e^{+i M(t)} with Omega_1 = -int_0^t H, so
 that e^{i Omega_1} = e^{-i int H} for commuting families.
@@ -19,7 +21,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import SpectrumOutOfRange, UnsupportedOrder
-from .matrix_core import BLOCK_ENTRIES, TOL_EIG, _hermitian, as_matrix, eigvals_hermitian, expm_hermitian_i
+from .matrix_core import TOL_EIG, _hermitian, as_matrix, expm_product
 
 
 @dataclass(frozen=True)
@@ -59,25 +61,6 @@ class EvolutionSpec:
             raise ValueError("n_steps must be >= 16")
 
 
-@dataclass(frozen=True)
-class SequencePlan:
-    """A member's pulses M_xi = pi lam A / n_s + defect_xi, whose sum is
-    (approximately) pi * lam * A.  `target_A` is the designer's A itself, shared
-    by every member, not a copy."""
-
-    magnus_terms: tuple
-    target_A: np.ndarray
-    lam: float
-
-    @property
-    def residual(self) -> float:
-        """The operator-norm defect ||sum_xi defect_xi||_2, computed when read:
-        each defect is its pulse less the share of the target, formed as the
-        designer formed it, so a plan with no defect reads exactly 0."""
-        base = (pi * self.lam / len(self.magnus_terms)) * self.target_A
-        return _norm_hermitian(sum(M - base for M in self.magnus_terms))
-
-
 def _drive(gamma: float, t: float, n_steps: int) -> tuple[np.ndarray, float]:
     """sin(gamma t_j) on the n_steps midpoints t_j of [0, t], and the step dt."""
     dt = t / n_steps
@@ -95,23 +78,16 @@ def time_ordered_evolve(fam: HamiltonianFamily, spec: EvolutionSpec) -> np.ndarr
     of the family's iKV and
         G_n = (h/2) (2K + (s_1 + s_2) V) + (sqrt(3) h^2 / 12) (s_2 - s_1) iKV,
     one exponential per step, with a local error O(h^5).  A constant family is
-    integrated exactly.  A block of G_n (`BLOCK_ENTRIES` entries) is built at
-    a time and exponentiated with one stacked `expm_hermitian_i` call."""
+    integrated exactly.  The n_steps generators G_n are formed as one stack
+    and multiplied out by `expm_product`."""
     h = spec.t_final / spec.n_steps
     start_times = np.arange(spec.n_steps) * h
     s1 = np.sin(spec.gamma * (start_times + (0.5 - sqrt(3.0) / 6.0) * h))
     s2 = np.sin(spec.gamma * (start_times + (0.5 + sqrt(3.0) / 6.0) * h))
     v_coef = 0.5 * h * (s1 + s2)
     c_coef = (sqrt(3.0) / 12.0) * h * h * (s2 - s1)
-    hK = h * fam.K
-    block = max(1, BLOCK_ENTRIES // fam.dim**2)
-    U = np.eye(fam.dim, dtype=complex)
-    for start in range(0, spec.n_steps, block):
-        stop = start + block
-        G = hK + v_coef[start:stop, None, None] * fam.V + c_coef[start:stop, None, None] * fam.iKV
-        for step in expm_hermitian_i(G, -1.0):
-            U = step @ U
-    return U
+    G = h * fam.K + v_coef[:, None, None] * fam.V + c_coef[:, None, None] * fam.iKV
+    return expm_product(G, -1.0)
 
 
 def magnus_omega1(fam: HamiltonianFamily, gamma: float, t: float, n_steps: int = 512) -> np.ndarray:
@@ -145,12 +121,6 @@ def magnus_truncated(
     return M
 
 
-def _norm_hermitian(G: np.ndarray) -> float:
-    """Operator 2-norm of a Hermitian G: its largest |eigenvalue| (cheaper than
-    the SVD behind norm(G, 2))."""
-    return float(np.max(np.abs(eigvals_hermitian(G))))
-
-
 def _check_target_spectrum(eigenvalues: np.ndarray) -> None:
     """SpectrumOutOfRange unless the target's eigenvalues lie in [-1, 1] (within TOL_EIG)."""
     radius = float(np.max(np.abs(eigenvalues)))
@@ -158,15 +128,11 @@ def _check_target_spectrum(eigenvalues: np.ndarray) -> None:
         raise SpectrumOutOfRange(f"target spectrum radius {radius:.6f} > 1")
 
 
-def design_sequence(
-    target_A: np.ndarray,
-    lam: float,
-    perturbation: float,
-    seed: int,
-    n_s: int = 4,
-) -> SequencePlan:
-    """Synthetic-mode designer: members realize M_xi = pi*lam*A/n_s + delta_xi
-    with delta_xi a seeded random Hermitian of operator norm <= perturbation.
+def design_sequence(target_A: np.ndarray, lam: float, perturbation: float, seed: int, n_s: int = 4) -> np.ndarray:
+    """Synthetic-mode designer: the (n_s, d, d) stack of a member's pulses
+    M_xi = pi*lam*A/n_s + delta_xi, with delta_xi a seeded random Hermitian of
+    operator norm <= perturbation, so that the pulses sum to pi*lam*A within
+    n_s*perturbation.  The member's U_sd is `expm_product(pulses, 1.0)`.
 
     The physical inverse problem (finding real drives whose Magnus operators
     sum to the target) is open; this mode exercises every downstream formula
@@ -175,23 +141,14 @@ def design_sequence(
     d = target_A.shape[0]
     rng = np.random.default_rng(seed)
     base = (pi * lam / n_s) * target_A
-    terms = []
-    for _ in range(n_s):
+    pulses = np.empty((n_s, d, d), dtype=complex)
+    for M in pulses:
         if perturbation > 0:
             G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             G = 0.5 * (G + G.conj().T)
-            G *= perturbation / _norm_hermitian(G)
+            # G is exactly Hermitian as formed, so its norm needs no check
+            G *= perturbation / float(np.max(np.abs(np.linalg.eigvalsh(G))))
         else:
             G = np.zeros_like(target_A)
-        terms.append(base + G)
-    return SequencePlan(magnus_terms=tuple(terms), target_A=target_A, lam=lam)
-
-
-def approx_discretization_unitary(plan: SequencePlan) -> np.ndarray:
-    """Ordered product prod_xi e^{i M_xi}, latest pulse leftmost; always unitary
-    by construction."""
-    first, *rest = plan.magnus_terms
-    U = expm_hermitian_i(first, 1.0)
-    for M in rest:
-        U = expm_hermitian_i(M, 1.0) @ U
-    return U
+        np.add(base, G, out=M)
+    return pulses

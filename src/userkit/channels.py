@@ -101,10 +101,10 @@ def _haar_strengths(U_rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, d * d * (1.0 - F_e) / (d * d - 1.0))
 
 
-def twirl_analytic_all(approx_list) -> np.ndarray:
+def twirl_analytic_all(members) -> np.ndarray:
     """The closed-form Haar noise strength of every member U_k's defect channel,
     from the stacked members, with no Python loop over pairs."""
-    U = unitary_stack(approx_list)
+    U = unitary_stack(members)
     if not len(U):
         raise BadLength("need at least one ensemble member")
     return _haar_strengths(U, U)

@@ -156,8 +156,8 @@ def _cmd_twirl(args) -> int:
     """Ensemble and twirl stages only: no sampling or reconstruction."""
     cfg = _apply_flags(load_config(args.config), args)
     exp = Experiment.from_config(cfg)
-    approx_list = generate_approx_unitaries(exp.target_A, exp.sear)
-    noise_strength, per_k = estimate_noise_strength(approx_list, exp.twirl_set, exp.psi, exp.O)
+    U_k, _ = generate_approx_unitaries(exp.target_A, exp.sear)
+    noise_strength, per_k = estimate_noise_strength(U_k, exp.twirl_set, exp.psi, exp.O)
     _output_dir(cfg)
     _write_epsilon_json(cfg, per_k, noise_strength)
     print(f"epsilon ~ {noise_strength:.12g}")

@@ -1,8 +1,8 @@
 """Dense complex-matrix substrate: the one place that decides whether a
 matrix is Hermitian (`_hermitian`, which also symmetrizes it) or unitary
 (`unitarity_defect`), how a Hermitian matrix is decomposed (`HermitianEig`),
-how many entries a stacked block holds (`BLOCK_ENTRIES`), and how e^{i scale H}
-is evaluated.
+how many entries a stacked block holds (`BLOCK_ENTRIES`), how e^{i scale H}
+is evaluated, and how an ordered product of them is formed (`expm_product`).
 
 Dimensions here are small (d <= 256), so everything is dense.
 `eig_hermitian` is one LAPACK eigendecomposition, and `eigvals_hermitian` the
@@ -10,7 +10,8 @@ eigenvalues alone for callers that read no vectors; `expm_hermitian_i` is
 built from matrix products only (a scaled Taylor polynomial of a degree chosen
 per slice, squared back), and there are no Pade or Krylov code paths.  All
 three take one (d, d) matrix or an (n, d, d) stack, and treat each slice of a
-stack bit for bit as they treat a single matrix.
+stack bit for bit as they treat a single matrix.  `expm_product` serves a
+SEAR member's `U_sd` (its pulses) and an AQS evolution (its Magnus steps).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NotHermitian, SpectrumOutOfRange
+from .errors import BadLength, NotHermitian, SpectrumOutOfRange
 
 
 # Largest Hermiticity defect accepted, and the cutoff below which eigenvalue
@@ -32,9 +33,11 @@ TOL_EIG = 1e-10
 TOL_UNITARY = 1e-9
 # Largest number of matrix entries one stacked product takes at once: 64 KB
 # of complex numbers, 16 matrices at d=16 and one from d=64 up.  The unitarity
-# check and the twirl go a block of members at a time, and
-# `time_ordered_evolve` a block of step generators, so memory does not grow
-# with the number of members or steps.
+# check and the twirl go a block of members at a time, and `expm_product` a
+# block of factors, so their working sets (the Taylor powers of a block, say)
+# do not grow with the number of members or factors.  The factors themselves
+# are one stack: `time_ordered_evolve` forms all its n_steps generators at
+# once (16 d^2 entries in a run), and a design its n_s pulses.
 BLOCK_ENTRIES = 1 << 12
 
 # e^X for X = i scale H is a Taylor polynomial of X 2^-s, squared s times.
@@ -211,3 +214,19 @@ def expm_hermitian_i(H: np.ndarray, scale: float) -> np.ndarray:
         idx = [i for i, p in enumerate(plans) if p == plan]
         U[idx] = _taylor(X[idx], *plan)
     return U.reshape(shape)
+
+
+def expm_product(H: np.ndarray, scale: float) -> np.ndarray:
+    """e^{i scale H_{n-1}} ... e^{i scale H_0} for an (n, d, d) stack of
+    Hermitian H, latest factor leftmost, started from the first factor (not
+    from I).  `expm_hermitian_i` checks and exponentiates a `BLOCK_ENTRIES`
+    block of factors at a time, so the product equals a per-factor loop bit
+    for bit.  An empty stack, or a single matrix, raises BadLength."""
+    if np.ndim(H) != 3 or not len(H):
+        raise BadLength(f"need a nonempty (n, d, d) stack of factors, got shape {np.shape(H)}")
+    block = max(1, BLOCK_ENTRIES // np.shape(H)[-1] ** 2)
+    U = None
+    for start in range(0, len(H), block):
+        for E in expm_hermitian_i(H[start : start + block], scale):
+            U = E if U is None else E @ U
+    return U

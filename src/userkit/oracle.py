@@ -72,9 +72,9 @@ class DepolarizingEstimate:
     stderr: float
 
 
-def _checked(U_i, approx_list) -> tuple[np.ndarray, np.ndarray]:
+def _checked(U_i, members) -> tuple[np.ndarray, np.ndarray]:
     """U_i and the stacked members, at least one, checked unitary and of one dimension."""
-    members = unitary_stack(approx_list)
+    members = unitary_stack(members)
     if not len(members):
         raise BadLength("need at least one ensemble member")
     U_i = unitary_stack([U_i])[0]
@@ -83,21 +83,21 @@ def _checked(U_i, approx_list) -> tuple[np.ndarray, np.ndarray]:
     return U_i, members
 
 
-def sear_error_channel(U_i, approx_list) -> KrausChannel:
+def sear_error_channel(U_i, members) -> KrausChannel:
     """Mixed-unitary channel with Kraus (1/sqrt(n_a)) U_a^(mu) U_i^dag.
 
     Applying it to U_i rho U_i^dag and taking Tr[. O] reproduces the arithmetic
     mean of the n_a approximate expectation values exactly.
     """
-    U_i, members = _checked(U_i, approx_list)
+    U_i, members = _checked(U_i, members)
     w = 1.0 / np.sqrt(len(members))
     return KrausChannel(tuple(w * (U @ U_i.conj().T) for U in members))
 
 
-def twirl_analytic(U_i, approx_list) -> DepolarizingEstimate:
-    """Closed-form Haar twirl of sear_error_channel(U_i, approx_list), from the
+def twirl_analytic(U_i, members) -> DepolarizingEstimate:
+    """Closed-form Haar twirl of sear_error_channel(U_i, members), from the
     overlaps Tr U_a U_i^dag alone, without building the channel."""
-    U_i, members = _checked(U_i, approx_list)
+    U_i, members = _checked(U_i, members)
     return DepolarizingEstimate(epsilon=float(_haar_strengths(U_i[None], members)[0]), stderr=0.0)
 
 

@@ -5,6 +5,8 @@ designed discretization sequences and reconstruct each sample's expectation
 value by integer-power sampling.  Stage III: twirl each member's defect channel
 (over the Haar measure in closed form, or an explicit set) into a depolarizing
 noise strength, and report mean value +/- (noise strength x observable spread).
+The ensemble is two (n_a, d, d) stacks: U_sd, which USER samples, and
+U_k = U_sd^tau, which the twirl reads.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aqs_magnus import SequencePlan, _check_target_spectrum, approx_discretization_unitary, design_sequence
+from .aqs_magnus import _check_target_spectrum, design_sequence
 from .channels import twirl_analytic_all, twirl_set_all, unitary_stack
-from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, eigvals_hermitian, finite_floats
+from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, eigvals_hermitian, expm_product, finite_floats
 from .user_recon import Observable, PureState, required_n_l, user_reconstruct
 
 
@@ -71,51 +73,44 @@ def band_slack(spread_A: float, lam: float, n_s: int, perturbation: float) -> fl
     return pi * (1.0 - lam * spread_A) - 2.0 * n_s * perturbation
 
 
-def generate_approx_unitaries(
-    target_A: np.ndarray, config: SearConfig
-) -> list[tuple[np.ndarray, np.ndarray, SequencePlan]]:
-    """One ensemble member (U_k, U_sd, plan) per index k: design a sequence at
-    lambda^(k), form the discretization unitary U_sd, and raise it to
-    tau^(k) = round(1/lambda^(k)) for U_k.  A's spectrum is checked once, here,
-    from its eigenvalues."""
+def generate_approx_unitaries(target_A: np.ndarray, config: SearConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble as two (n_a, d, d) stacks (U_k, U_sd): row k designs a
+    sequence at lambda^(k), multiplies its pulses out to the discretization
+    unitary U_sd, and raises that to tau^(k) = round(1/lambda^(k)) for U_k.
+    A's spectrum is checked once, here, from its eigenvalues."""
     target_A = as_matrix(target_A)
     _check_target_spectrum(eigvals_hermitian(target_A))
     return _design_ensemble(target_A, config)
 
 
-def _design_ensemble(target_A: np.ndarray, config: SearConfig) -> list[tuple[np.ndarray, np.ndarray, SequencePlan]]:
+def _design_ensemble(target_A: np.ndarray, config: SearConfig) -> tuple[np.ndarray, np.ndarray]:
     """`generate_approx_unitaries` for an A whose spectrum is already checked."""
     seeds = np.random.SeedSequence(config.seed).generate_state(len(config.lambdas))
-    out = []
+    U_sd = np.empty((len(config.lambdas),) + target_A.shape, dtype=complex)
     for k, lam in enumerate(config.lambdas):
-        plan = design_sequence(target_A, lam, config.perturbation, seed=int(seeds[k]), n_s=config.n_s)
-        U_sd = approx_discretization_unitary(plan)
-        out.append((np.linalg.matrix_power(U_sd, round(1.0 / lam)), U_sd, plan))
-    return out
+        U_sd[k] = expm_product(design_sequence(target_A, lam, config.perturbation, int(seeds[k]), config.n_s), 1.0)
+    U_k = np.stack([np.linalg.matrix_power(U, round(1.0 / lam)) for U, lam in zip(U_sd, config.lambdas)])
+    return U_k, U_sd
 
 
 def estimate_noise_strength(
-    approx_list: Sequence[tuple[np.ndarray, np.ndarray, SequencePlan]],
-    twirl_set: Optional[Sequence[np.ndarray]],
-    psi: PureState,
-    O: Observable,
+    members: np.ndarray, twirl_set: Optional[Sequence[np.ndarray]], psi: PureState, O: Observable
 ) -> tuple[float, list[float]]:
-    """Per-k twirl of member k's defect channel, with Kraus operators
-    U_a U_k^dag / sqrt(n) over the n members U_a, then the mean.  twirl_set None
-    is the Haar measure, in closed form from overlaps (no probe read); an
-    explicit set is twirled on the probe.  Members and set are checked unitary
-    once, not once per k.  With an explicit set and a zero-spread observable (a
-    multiple of the identity) no probe can resolve a noise strength, and none is
-    needed: every per_k is 0, once both stacks are checked."""
-    unitaries = [U_k for U_k, _, _ in approx_list]
+    """Per-k twirl of member U_k's defect channel, with Kraus operators
+    U_a U_k^dag / sqrt(n) over the n members U_a (the `U_k` stack of
+    `generate_approx_unitaries`), then the mean.  twirl_set None is the Haar
+    measure, in closed form from overlaps (no probe read); an explicit set is
+    twirled on the probe.  Members and set are checked unitary once, not once
+    per k.  With an explicit set and a zero-spread observable (a multiple of
+    the identity) no probe can resolve a noise strength, and none is needed:
+    every per_k is 0, once both stacks are checked."""
     if twirl_set is None:
-        per_k = twirl_analytic_all(unitaries)
+        per_k = twirl_analytic_all(members)
     elif O.spread() <= TOL_EIG:
-        unitary_stack(unitaries)
+        per_k = np.zeros(len(unitary_stack(members)))
         unitary_stack(twirl_set)
-        per_k = np.zeros(len(unitaries))
     else:
-        per_k = twirl_set_all(unitaries, twirl_set, psi, O)
+        per_k = twirl_set_all(members, twirl_set, psi, O)
     return float(np.mean(per_k)), per_k.tolist()
 
 
@@ -133,12 +128,9 @@ def run_sear(
     for lam, delta in zip(config.lambdas, deltas):  # refuse any member's grid before designing one
         required_n_l(lam, delta)
     _check_target_spectrum(eig_A.values)
-    approx_list = _design_ensemble(target_A, config)
-    members = [
-        user_reconstruct(psi, O, U_sd, lam, delta)
-        for (_, U_sd, _), lam, delta in zip(approx_list, config.lambdas, deltas)
-    ]
-    noise_strength, per_k = estimate_noise_strength(approx_list, twirl_set, psi, O)
+    U_k, U_sd = _design_ensemble(target_A, config)
+    members = [user_reconstruct(psi, O, U, lam, delta) for U, lam, delta in zip(U_sd, config.lambdas, deltas)]
+    noise_strength, per_k = estimate_noise_strength(U_k, twirl_set, psi, O)
     spread = O.spread()
     v = eig_A.expm_i(pi) @ psi.amplitudes  # the exact reference, e^{i pi A} psi
     return SearResult(

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from userkit import aqs_magnus
+from userkit import matrix_core
 from userkit.aqs_magnus import (
     EvolutionSpec,
     HamiltonianFamily,
-    SequencePlan,
-    approx_discretization_unitary,
     design_sequence,
     magnus_omega1,
     magnus_omega2,
@@ -17,7 +15,7 @@ from userkit.aqs_magnus import (
 from userkit.config import TWIRL_STEPS, _simulable_twirl_set, _twirl_drives, preset_config, resolve_config
 from userkit.errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
 from userkit.lattice import LatticeSpec, build_lattice_family
-from userkit.matrix_core import BLOCK_ENTRIES, expm_hermitian_i, hermiticity_defect, is_unitary
+from userkit.matrix_core import BLOCK_ENTRIES, expm_hermitian_i, expm_product, hermiticity_defect, is_unitary
 from userkit.sear import SearConfig, generate_approx_unitaries
 from conftest import random_hermitian, random_target_A
 
@@ -170,7 +168,7 @@ class TestSimulableTwirlSet:
             slices.append(H.shape[0] if H.ndim == 3 else 1)
             return expm_hermitian_i(H, scale)
 
-        monkeypatch.setattr(aqs_magnus, "expm_hermitian_i", counting)
+        monkeypatch.setattr(matrix_core, "expm_hermitian_i", counting)
         r = self.raw()
         members = _simulable_twirl_set(r, resolve_config(r).lattice)
         assert len(members) == 64 and TWIRL_STEPS == 16
@@ -276,33 +274,29 @@ class TestMagnusTruncated:
 
 class TestDesignSequence:
     def test_exact_mode(self, rng):
+        # with no defect every pulse is the target's share pi lam A / n_s
         A = random_target_A(rng, 4)
-        plan = design_sequence(A, 0.25, perturbation=0.0, seed=1)
-        assert plan.residual == 0.0
-        U = approx_discretization_unitary(plan)
+        pulses = design_sequence(A, 0.25, perturbation=0.0, seed=1)
+        assert np.array_equal(pulses, np.broadcast_to((np.pi * 0.25 / 4) * A, (4, 4, 4)))
+        U = expm_product(pulses, 1.0)
         assert np.max(np.abs(U - expm_hermitian_i(A, np.pi * 0.25))) < 1e-8
 
     def test_residual_bound(self, rng):
+        # the pulses of an exactly Hermitian A are exactly Hermitian, and they
+        # sum to pi lam A within n_s perturbation in the operator norm
         A = random_target_A(rng, 4)
-        plan = design_sequence(A, 0.25, perturbation=1e-3, seed=5, n_s=4)
-        assert plan.residual <= 4e-3
-
-    def test_residual_computed_when_read(self, rng):
-        # the plan holds the designer's A itself, and the residual is the norm
-        # of the pulses' sum less pi lam A
-        A = random_target_A(rng, 4)
-        plan = design_sequence(A, 0.2, perturbation=1e-2, seed=9)
-        assert plan.target_A is A and plan.lam == 0.2
-        defect = sum(plan.magnus_terms) - np.pi * 0.2 * A
-        assert plan.residual == pytest.approx(np.linalg.norm(defect, 2), rel=0, abs=1e-14)
+        A = 0.5 * (A + A.conj().T)
+        pulses = design_sequence(A, 0.25, perturbation=1e-3, seed=5, n_s=4)
+        assert pulses.shape == (4, 4, 4)
+        assert np.array_equal(pulses, pulses.conj().swapaxes(-1, -2))
+        assert 0.0 < np.linalg.norm(np.sum(pulses, axis=0) - np.pi * 0.25 * A, 2) <= 4e-3
 
     def test_determinism(self, rng):
         A = random_target_A(rng, 3)
         p1 = design_sequence(A, 0.2, perturbation=1e-2, seed=9)
         p2 = design_sequence(A, 0.2, perturbation=1e-2, seed=9)
-        for M1, M2 in zip(p1.magnus_terms, p2.magnus_terms):
-            assert np.array_equal(M1, M2)
-        assert p1.residual == p2.residual
+        assert np.array_equal(p1, p2)
+        assert not np.array_equal(p1, design_sequence(A, 0.2, perturbation=1e-2, seed=10))
 
     def test_spectrum_out_of_range(self, rng):
         # A is checked once per ensemble, where generate_approx_unitaries enters
@@ -311,25 +305,24 @@ class TestDesignSequence:
 
 
 class TestApproxDiscretizationUnitary:
+    """A member's U_sd, the ordered product of its designed pulses."""
+
     def test_always_unitary(self, rng):
         A = random_target_A(rng, 4)
         for p in (0.0, 1e-3, 0.1, 1.0):
-            plan = design_sequence(A, 0.2, perturbation=p, seed=3)
-            assert is_unitary(approx_discretization_unitary(plan))
+            assert is_unitary(expm_product(design_sequence(A, 0.2, perturbation=p, seed=3), 1.0))
 
     def test_non_hermitian_term_rejected(self):
         # a term is exponentiated as given: one that is not Hermitian raises,
         # it is not Hermitized first
-        plan = SequencePlan(magnus_terms=(0.1 * Z, 0.1 * (X + 1j * X)), target_A=Z, lam=0.25)
         with pytest.raises(NotHermitian):
-            approx_discretization_unitary(plan)
+            expm_product(np.stack([0.1 * Z, 0.1 * (X + 1j * X)]), 1.0)
 
     def test_defect_scales_with_perturbation(self, rng):
         A = random_target_A(rng, 4)
         exact = expm_hermitian_i(A, np.pi * 0.2)
         for p in (1e-3, 1e-2):
-            plan = design_sequence(A, 0.2, perturbation=p, seed=3)
-            dist = np.linalg.norm(approx_discretization_unitary(plan) - exact, 2)
+            dist = np.linalg.norm(expm_product(design_sequence(A, 0.2, perturbation=p, seed=3), 1.0) - exact, 2)
             assert dist <= 5.0 * p  # empirical constant ~1, generous factor
 
     def test_single_member_commuting(self, rng):

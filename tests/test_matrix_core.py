@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from userkit.errors import NotHermitian, SpectrumOutOfRange
+from userkit.errors import BadLength, NotHermitian, SpectrumOutOfRange
 from userkit.matrix_core import (
     _MAX_SQUARINGS,
     _THETA,
     _THETAS,
+    BLOCK_ENTRIES,
     TOL_UNITARY,
     _taylor_plan,
     as_matrix,
     eig_hermitian,
     eigvals_hermitian,
     expm_hermitian_i,
+    expm_product,
     is_unitary,
     unitarity_defect,
 )
@@ -272,3 +274,32 @@ def test_eigvals_hermitian(rng):
     assert np.allclose(eigvals_hermitian(H), eig_hermitian(H).values, rtol=0, atol=1e-13)
     with pytest.raises(NotHermitian):
         eigvals_hermitian(H + 1e-9 * np.triu(np.ones((8, 8)), 1))
+
+
+class TestExpmProduct:
+    def test_equals_per_factor_loop(self, rng):
+        # at d=16 a block holds 16 factors, so 22 factors take two blocks; the
+        # factors take every Taylor degree, with and without squarings
+        norms = [0.0, 1e-4, 0.0016, 0.002, 0.05, 0.069, 0.071, 0.3, 0.34, 0.81, 0.83, 3.0, 20.0] * 2
+        norms = [norms[i] for i in rng.permutation(22)]
+        H = np.stack([random_hermitian(rng, 16) for _ in norms])
+        for k, x in enumerate(norms):
+            H[k] *= x / one_norm(H[k])
+        assert BLOCK_ENTRIES // 16**2 == 16 < len(H)
+        assert {q for q, _ in map(_taylor_plan, map(one_norm, H))} == {1, 2, 3, 4}
+        U = expm_hermitian_i(H[0], -1.0)
+        for G in H[1:]:
+            U = expm_hermitian_i(G, -1.0) @ U
+        assert np.array_equal(expm_product(H, -1.0), U)
+
+    def test_single_factor(self, rng):
+        H = random_hermitian(rng, 5)
+        assert np.array_equal(expm_product(H[None], 0.4), expm_hermitian_i(H, 0.4))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(BadLength):
+            expm_product(np.zeros((0, 3, 3)), 1.0)
+
+    def test_single_matrix_rejected(self):
+        with pytest.raises(BadLength, match="stack"):
+            expm_product(np.eye(3), 1.0)
