@@ -11,12 +11,14 @@ checking `A` from its one decomposition.  `sample_integer_powers` runs on the
 grid of the last ensemble member's `U_sd` (lambda = 0.1, the longest grid) of
 the `noisy-16` preset at d=16 and of the same config at n_sites=128, and
 `sinc_reconstruct` interpolates the value at eta = 1 from that member's
-samples; the haar noise stage, `estimate_noise_strength(U_k, None, psi, O)` as
-`run` calls it in `twirl_mode: haar` (the `U_k` stack checked once, then every
-member's closed form at once from the stacked members' overlaps,
-`twirl_analytic_all`), runs on the whole ensemble of `noisy-16` at d=16 and at
-n_sites=128; `twirl_set_all` twirls the defect channel of every `U_k` of that
-ensemble at d=16 over the 64-member simulable twirl set of `noisy-16` with
+samples, and the 121 points of `reconstruction.csv` (eta = 0 .. `ETA_MAX`) in
+one call, as `run` writes them; the haar noise stage,
+`estimate_noise_strength(U_k, None, psi, O)` as `run` calls it in
+`twirl_mode: haar` (the `U_k` stack checked once, then every member's closed
+form at once from the stacked members' overlaps, `twirl_analytic_all`), runs
+on the whole ensemble of `noisy-16` at d=16 and at n_sites=128;
+`twirl_set_all` twirls the defect channel of every `U_k` of that ensemble at
+d=16 over the 64-member simulable twirl set of `noisy-16` with
 `twirl_mode: simulable`, `n_t: 64` (both stacks checked once per call, then
 per member one Kraus stack and `chi` formed for all set members at once);
 `time_ordered_evolve` builds one member of the simulable twirl set
@@ -42,7 +44,7 @@ from userkit.config import TWIRL_STEPS, Experiment, preset_config, resolve_confi
 from userkit.lattice import build_lattice_family
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
 from userkit.sear import estimate_noise_strength, generate_approx_unitaries, run_sear
-from userkit.user_recon import required_n_l, sample_integer_powers, sinc_reconstruct
+from userkit.user_recon import ETA_MAX, required_n_l, sample_integer_powers, sinc_reconstruct
 
 
 def noisy_experiment(n_sites, **overrides):
@@ -78,6 +80,13 @@ def test_sinc_reconstruct(benchmark, last_member):
     _, _, rec = last_member
     value = benchmark(sinc_reconstruct, rec.samples, rec.lam, 1.0, rec.delta)
     assert value == rec.value
+
+
+def test_reconstruction_grid(benchmark, last_member):
+    _, _, rec = last_member
+    etas = np.linspace(0.0, ETA_MAX, 121)
+    values = benchmark(sinc_reconstruct, rec.samples, rec.lam, etas, rec.delta)
+    assert values.shape == etas.shape and values[100] == rec.value  # eta = 1
 
 
 @pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])

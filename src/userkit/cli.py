@@ -81,9 +81,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     if "reconstruction_csv" in emit:
         rec = res.per_sample[0]
+        etas = np.linspace(0.0, ETA_MAX, 121)
+        values = sinc_reconstruct(rec.samples, rec.lam, etas, rec.delta)
         lines = ["eta,interpolated_value"]
-        for eta in np.linspace(0.0, ETA_MAX, 121):
-            lines.append(f"{_fmt(eta * exp.t_eff)},{_fmt(sinc_reconstruct(rec.samples, rec.lam, eta, rec.delta))}")
+        lines.extend(f"{_fmt(eta * exp.t_eff)},{_fmt(v)}" for eta, v in zip(etas, values))
         atomic_write_text(os.path.join(out_dir, "reconstruction.csv"), "\n".join(lines) + "\n")
 
     if "epsilon_json" in emit:
@@ -195,8 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once, at import: parse_args leaves a parser as it found it, so each
+# main call parses into a fresh namespace.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

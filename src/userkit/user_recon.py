@@ -35,6 +35,8 @@ _SAMPLE_BLOCK = 256
 MAX_GRID_SAMPLES = 1 << 24
 # Truncation error of the regularized sinc kernel, relative to the signal's size.
 RECON_TOL = 1e-14
+# Entries of the weight matrix sinc_reconstruct forms at once: 2 MB of float64.
+_WEIGHT_BLOCK = 1 << 18
 # reconstruction.csv interpolates eta in [0, ETA_MAX], so every grid covers it.
 ETA_MAX = 1.2
 
@@ -144,20 +146,33 @@ def required_n_l(lam: float, delta: float) -> int:
     return int(ceil(half_width))
 
 
-def sinc_reconstruct(samples, lam: float, eta: float, delta: float) -> float:
-    """Regularized Whittaker-Shannon interpolation of the value at `eta`.
+def sinc_reconstruct(samples, lam: float, eta, delta: float) -> float | np.ndarray:
+    """Regularized Whittaker-Shannon interpolation of the value at `eta`: a
+    float for a float `eta`, an array for a 1-d array of them.
 
     samples[j] holds the value at eta = k * lam with k = j - n_l running over
     -n_l .. n_l.  With x = eta / lam and m = kernel_window(delta), returns
     sum_k samples[k] * sinc(x - k) * exp(-(x - k)^2 / (2 r^2)), r = sqrt(m / delta).
+    The weight rows of as many `eta` as fit _WEIGHT_BLOCK weights (one at
+    least) are formed at once, and each value is one dot product with its own
+    row, so an array gives the per-`eta` calls' values bit for bit.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size % 2 != 1 or samples.size < 3:
         raise BadLength(f"need an odd-length grid of >= 3 samples, got {samples.size}")
+    etas = np.asarray(eta, dtype=float)
+    if etas.ndim > 1:
+        raise BadLength(f"need a float or a 1-d array of eta, got shape {etas.shape}")
     n_l = samples.size // 2
-    u = eta / lam - np.arange(-n_l, n_l + 1)
-    weights = np.sinc(u) * np.exp(-0.5 * (delta / kernel_window(delta)) * u * u)
-    return float(np.dot(samples, weights))
+    k = np.arange(-n_l, n_l + 1)
+    c = -0.5 * (delta / kernel_window(delta))
+    x = etas.reshape(-1, 1) / lam
+    rows = max(1, _WEIGHT_BLOCK // samples.size)
+    values = []
+    for start in range(0, len(x), rows):
+        u = x[start : start + rows] - k
+        values.extend(np.dot(samples, w) for w in np.sinc(u) * np.exp(c * u * u))
+    return float(values[0]) if etas.ndim == 0 else np.array(values)
 
 
 def _chain_expectations(v0: np.ndarray, step: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:

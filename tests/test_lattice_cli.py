@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from userkit import config as config_module
 from userkit import sear as sear_module
 from userkit.channels import DensityMatrix, KrausChannel
-from userkit.cli import main
+from userkit.cli import _fmt, main
 from userkit.config import (
     KNOWN_KEYS,
     MAX_DESIGN_ENTRIES,
@@ -35,7 +35,7 @@ from userkit.lattice import (
 from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
 from userkit.oracle import exact_intermediate_expectation
 from userkit.sear import run_sear
-from userkit.user_recon import Observable
+from userkit.user_recon import ETA_MAX, Observable, sinc_reconstruct
 
 
 def run_library(cfg_path):
@@ -465,6 +465,49 @@ class TestCli:
         rows = (out_dir / "reconstruction.csv").read_text().splitlines()[1:]
         value_at_1 = float(rows[100].split(",")[1])  # eta = 100 * 1.2 / 120
         assert value_at_1 == pytest.approx(run_library(cfg_path).per_sample[0].value, abs=1e-12 * result["spread"])
+
+    def test_reconstruction_csv_equals_scalar_calls(self, tmp_path):
+        # run interpolates its 121-point grid in one sinc_reconstruct call; each
+        # line is what the per-eta call gives for the first member
+        cfg_path = write_config(
+            tmp_path, "exact-small", n_sites=16, perturbation=0.0, lambdas=[0.13, 0.23, 0.3, 0.45],
+            emit=["reconstruction_csv"],
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+        exp = Experiment.from_config(load_config(str(cfg_path)))
+        rec = run_library(cfg_path).per_sample[0]
+        expected = ["eta,interpolated_value"] + [
+            f"{_fmt(eta * exp.t_eff)},{_fmt(sinc_reconstruct(rec.samples, rec.lam, eta, rec.delta))}"
+            for eta in np.linspace(0.0, ETA_MAX, 121)
+        ]
+        assert (out_dir / "reconstruction.csv").read_text().splitlines() == expected
+
+    def test_parser_keeps_no_emit_between_calls(self, tmp_path):
+        # the parser is built once per process; a flag of one call is not in the next
+        cfg_path = write_config(tmp_path, "noisy-16", output_dir=str(tmp_path / "plain"))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "flagged"), "--emit", "samples_csv"]) == 0
+        assert sorted(os.listdir(tmp_path / "flagged")) == ["samples.csv"]
+        assert main(["run", str(cfg_path)]) == 0
+        assert sorted(os.listdir(tmp_path / "plain")) == ["epsilon.json", "result.json"]
+
+    def test_parser_keeps_no_seed_or_out_between_calls(self, tmp_path):
+        cfg_path = write_config(tmp_path, "noisy-16", seed=1, output_dir=str(tmp_path / "plain"))
+        assert main(["run", str(cfg_path), "--seed", "2", "--out", str(tmp_path / "seed2")]) == 0
+        assert main(["run", str(cfg_path)]) == 0
+        assert main(["run", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "seed1")]) == 0
+        plain = (tmp_path / "plain" / "result.json").read_bytes()
+        assert plain == (tmp_path / "seed1" / "result.json").read_bytes()
+        assert plain != (tmp_path / "seed2" / "result.json").read_bytes()
+
+    def test_parser_error_leaves_next_call_working(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "exact-small", output_dir=str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 2
+        assert "config" in capsys.readouterr().err
+        assert main(["run", str(cfg_path)]) == 0
+        assert (tmp_path / "out" / "result.json").exists()
 
     def test_exact_above_d64(self, tmp_path):
         # result.json reports the exact value at every dimension, from run_sear's

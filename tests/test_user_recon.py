@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from userkit import user_recon as user_recon_module
+from userkit.config import Experiment, preset_config, resolve_config
 from userkit.errors import (
     BadLength,
     DegenerateSpectrum,
@@ -15,6 +17,7 @@ from userkit.errors import (
 )
 from userkit.matrix_core import HermitianEig, eig_hermitian, expm_hermitian_i
 from userkit.oracle import exact_intermediate_expectation, multiplicative_expectation
+from userkit.sear import run_sear
 from userkit.user_recon import (
     MAX_GRID_SAMPLES,
     RECON_TOL,
@@ -254,6 +257,63 @@ class TestSincReconstruct:
     def test_bad_length(self):
         with pytest.raises(BadLength):
             sinc_reconstruct(np.zeros(4), 0.25, 1.0, np.pi)
+
+    @pytest.mark.parametrize("eta", [1.0, np.linspace(0.0, 1.2, 5)], ids=["float", "array"])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (4,), (3, 3)])
+    def test_bad_length_any_eta(self, shape, eta):
+        with pytest.raises(BadLength, match="odd-length"):
+            sinc_reconstruct(np.zeros(shape), 0.25, eta, np.pi)
+
+    def test_2d_eta_raises(self):
+        with pytest.raises(BadLength, match="1-d"):
+            sinc_reconstruct(np.zeros(9), 0.25, np.zeros((2, 3)), np.pi)
+
+    @pytest.mark.parametrize("eta", [1.0, 0, np.float64(0.3), np.array(0.3)], ids=["float", "int", "float64", "0d"])
+    def test_float_eta_returns_float(self, eta):
+        value = sinc_reconstruct(np.cos(0.25 * np.pi * np.arange(-20, 21)), 0.25, eta, 0.75 * np.pi)
+        assert type(value) is float
+
+    def test_array_eta_returns_array(self):
+        values = sinc_reconstruct(np.zeros(9), 0.25, [0.0, 0.5], np.pi)
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        assert sinc_reconstruct(np.zeros(9), 0.25, np.empty(0), np.pi).shape == (0,)
+
+    @staticmethod
+    def offgrid_first_member():
+        """The samples, lambda and slack of the first member of `exact-small` at
+        n_sites=16, no synthesis defect and lambdas off the reciprocal integers."""
+        raw = dict(preset_config("exact-small").raw, n_sites=16, perturbation=0.0, lambdas=[0.13, 0.23, 0.3, 0.45])
+        exp = Experiment.from_config(resolve_config(raw))
+        rec = run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear).per_sample[0]
+        return rec.samples, rec.lam, rec.delta
+
+    @pytest.mark.parametrize("case", ["offgrid_first_member", "three_samples", "band_limited_cosine"])
+    def test_array_equals_scalar_calls(self, case):
+        # each value is one dot product with its own weight row, so an array of
+        # eta gives the per-eta calls bit for bit
+        if case == "offgrid_first_member":
+            samples, lam, delta = self.offgrid_first_member()
+        elif case == "three_samples":
+            samples, lam, delta = np.array([0.3, -1.1, 2.0]), 0.4, 1.0
+        else:
+            lam = 0.25
+            samples, delta = np.cos(np.pi * np.arange(-200, 201) * lam), np.pi * (1 - lam)
+        etas = np.linspace(0.0, 1.2, 121)  # reconstruction.csv's grid, eta = 0 first
+        etas = np.append(etas, [2 * lam, -lam, 1.0])  # on the sample grid
+        values = sinc_reconstruct(samples, lam, etas, delta)
+        assert np.array_equal(values, [sinc_reconstruct(samples, lam, eta, delta) for eta in etas])
+        assert np.array_equal(sinc_reconstruct(samples, lam, list(etas), delta), values)
+
+    def test_weight_blocks_equal_one_block(self, monkeypatch):
+        # a grid too long for one weight block is split by rows, value for value
+        lam, delta = 0.25, 0.75 * np.pi
+        samples = np.cos(np.pi * np.arange(-200, 201) * lam)
+        etas = np.linspace(0.0, 1.2, 121)
+        whole = sinc_reconstruct(samples, lam, etas, delta)
+        monkeypatch.setattr(user_recon_module, "_WEIGHT_BLOCK", 7 * samples.size)
+        assert np.array_equal(sinc_reconstruct(samples, lam, etas, delta), whole)
+        monkeypatch.setattr(user_recon_module, "_WEIGHT_BLOCK", 1)
+        assert np.array_equal(sinc_reconstruct(samples, lam, etas, delta), whole)
 
 
 class TestUserReconstruct:
