@@ -15,12 +15,13 @@ samples, and the 121 points of `reconstruction.csv` (eta = 0 .. `ETA_MAX`) in
 one call, as `run` writes them; the haar noise stage,
 `estimate_noise_strength(U_k, None, psi, O)` as `run` calls it in
 `twirl_mode: haar` (the `U_k` stack checked once, then every member's closed
-form at once from the stacked members' overlaps, `twirl_analytic_all`), runs
-on the whole ensemble of `noisy-16` at d=16 and at n_sites=128;
-`twirl_set_all` twirls the defect channel of every `U_k` of that ensemble at
-d=16 over the 64-member simulable twirl set of `noisy-16` with
-`twirl_mode: simulable`, `n_t: 64` (both stacks checked once per call, then
-per member one Kraus stack and `chi` formed for all set members at once);
+form at once from the stacked members' overlaps, `channels.haar_strengths`),
+runs on the whole ensemble of `noisy-16` at d=16 and at n_sites=128;
+`estimate_noise_strength(U_k, twirl_set, psi, O)` twirls the defect channel of
+every `U_k` of that ensemble at d=16 over the 64-member simulable twirl set of
+`noisy-16` with `twirl_mode: simulable`, `n_t: 64` (both stacks checked once
+per call, then per member one Kraus stack and `chi` formed for all set members
+at once, `channels.set_strengths`);
 `time_ordered_evolve` builds one member of the simulable twirl set
 (`twirl_mode: simulable`, `TWIRL_STEPS` = 16 fourth-order Magnus steps,
 multiplied out by `expm_product`) of `noisy-16` at d=16 and at n_sites=128;
@@ -39,7 +40,6 @@ import numpy as np
 import pytest
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
-from userkit.channels import twirl_set_all
 from userkit.config import TWIRL_STEPS, Experiment, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
@@ -97,10 +97,10 @@ def test_twirl_closed_form(benchmark, n_sites):
     assert mean_eps > 0.0 and len(per_k) == len(U_k)
 
 
-def test_twirl_set_all_d16(benchmark):
+def test_twirl_simulable_set_d16(benchmark):
     exp, (U_k, _) = noisy_experiment(16, twirl_mode="simulable", n_t=64)
-    per_k = benchmark(twirl_set_all, U_k, exp.twirl_set, exp.psi, exp.O)
-    assert per_k.shape == (len(U_k),)
+    mean_eps, per_k = benchmark(estimate_noise_strength, U_k, exp.twirl_set, exp.psi, exp.O)
+    assert len(exp.twirl_set) == 64 and len(per_k) == len(U_k)
 
 
 @pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])

@@ -1,8 +1,11 @@
-"""Depolarizing twirls of the ensemble-defect ("SEAR error") channels, on plain
-unitary stacks, and noise-strength extraction.  Member k's defect channel is
-mixed-unitary, with Kraus operators U_a U_k^dag / sqrt(n_a) over the n_a
+"""The two twirl kernels of the ensemble-defect ("SEAR error") channels, on
+plain unitary stacks, and noise-strength extraction.  Member k's defect channel
+is mixed-unitary, with Kraus operators U_a U_k^dag / sqrt(n_a) over the n_a
 members: that weight makes it trace preserving and reproduces the mean of the
-per-member expectation values exactly.
+per-member expectation values exactly.  `haar_strengths` is the closed-form
+Haar twirl, `set_strengths` the twirl over an explicit set on a probe; both
+take checked stacks.  `sear.estimate_noise_strength`, the one entry that
+twirls an ensemble, checks them once (`unitary_stack`) and calls the kernels.
 
 No run builds a `DensityMatrix` or a `KrausChannel`.  The test references on
 them live in `oracle`; the classes stay here, where the benchmark tracer
@@ -80,7 +83,7 @@ def unitary_stack(matrices) -> np.ndarray:
     return stack
 
 
-def _haar_strengths(U_rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+def haar_strengths(U_rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The closed-form Haar twirl of the defect channel of each U_i of the
     (m, d, d) stack U_rows against the (n, d, d) stack members, with Kraus
     operators U_a U_i^dag / sqrt(n) (Nielsen, PLA 303 (2002)):
@@ -99,15 +102,6 @@ def _haar_strengths(U_rows: np.ndarray, members: np.ndarray) -> np.ndarray:
         F_e[start : start + step] = np.sum(np.abs(T) ** 2, axis=1)
     F_e /= n * d * d
     return np.maximum(0.0, d * d * (1.0 - F_e) / (d * d - 1.0))
-
-
-def twirl_analytic_all(members) -> np.ndarray:
-    """The closed-form Haar noise strength of every member U_k's defect channel,
-    from the stacked members, with no Python loop over pairs."""
-    U = unitary_stack(members)
-    if not len(U):
-        raise BadLength("need at least one ensemble member")
-    return _haar_strengths(U, U)
 
 
 # Smallest |Tr[O]/d - <psi|O|psi>| from which a noise strength is recovered.
@@ -136,7 +130,7 @@ def noise_strength_from_expectation(
     return (comp_value - t1) / denom
 
 
-def _set_strengths(kraus: np.ndarray, W: np.ndarray, probe: PureState, O: Observable) -> np.ndarray:
+def set_strengths(kraus: np.ndarray, W: np.ndarray, probe: PureState, O: Observable) -> np.ndarray:
     """The noise strength of the channel C with the (n_k, d, d) Kraus stack
     `kraus`, twirled by each member W of the checked (n, d, d) set on the pure
     probe psi: Tr[(W^dag C W)[|psi><psi|] O] = sum_mu <chi_mu|O|chi_mu> with
@@ -160,15 +154,3 @@ def _set_strengths(kraus: np.ndarray, W: np.ndarray, probe: PureState, O: Observ
         raise TraceViolation(f"output trace {tr[bad[0]]:.8f} deviates from 1")
     values = np.vecdot(chi, chi @ O.matrix.T).sum(axis=1).real
     return noise_strength_from_expectation(values, probe, O)
-
-
-def twirl_set_all(members, twirl_set, probe: PureState, O: Observable) -> np.ndarray:
-    """The noise strength of every member U_k's defect channel, the Kraus stack
-    (U_a U_k^dag) / sqrt(n), averaged over an explicit unitary set on the probe;
-    both stacks are checked once, not once per k."""
-    U = unitary_stack(members)
-    if not len(U):
-        raise BadLength("need at least one ensemble member")
-    W = unitary_stack(twirl_set)
-    w = 1.0 / np.sqrt(len(U))
-    return np.array([np.mean(_set_strengths(w * (U @ U_k.conj().T), W, probe, O)) for U_k in U])

@@ -8,9 +8,9 @@ builds on `channels` and `user_recon`, so imports run one way only:
 The density-matrix references (`density_from_pure`, `expectation`,
 `apply_channel`, `depolarize`) take `channels.DensityMatrix`, and the channel
 references (`sear_error_channel`, `twirl_discrete`, `twirl_haar_mc`)
-`channels.KrausChannel`.  `twirl_discrete` runs the kernel that
-`channels.twirl_set_all` runs, and `twirl_analytic` is one row of
-`channels.twirl_analytic_all`, so each agrees with the run path bit for bit.
+`channels.KrausChannel`.  `twirl_discrete` runs `channels.set_strengths` and
+`twirl_analytic` one row of `channels.haar_strengths`, the two kernels that
+`sear.estimate_noise_strength` calls, so each agrees with it bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import pi
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel, _haar_strengths, _set_strengths, unitary_stack
+from .channels import DensityMatrix, KrausChannel, haar_strengths, set_strengths, unitary_stack
 from .errors import BadLength, DimensionMismatch, NotHermitian, SpectrumOutOfRange, TraceViolation, UnphysicalEpsilon
 from .matrix_core import HermitianEig
 from .user_recon import Observable, PureState
@@ -98,13 +98,13 @@ def twirl_analytic(U_i, members) -> DepolarizingEstimate:
     """Closed-form Haar twirl of sear_error_channel(U_i, members), from the
     overlaps Tr U_a U_i^dag alone, without building the channel."""
     U_i, members = _checked(U_i, members)
-    return DepolarizingEstimate(epsilon=float(_haar_strengths(U_i[None], members)[0]), stderr=0.0)
+    return DepolarizingEstimate(epsilon=float(haar_strengths(U_i[None], members)[0]), stderr=0.0)
 
 
 def twirl_discrete(ch: KrausChannel, twirl_set, probe: PureState, O: Observable) -> DepolarizingEstimate:
     """Discrete twirl of `ch` over an explicit unitary set, on the pure probe:
     the mean and standard error of the members' noise strengths."""
-    eps = _set_strengths(np.stack(ch.kraus), unitary_stack(twirl_set), probe, O)
+    eps = set_strengths(np.stack(ch.kraus), unitary_stack(twirl_set), probe, O)
     stderr = float(np.std(eps, ddof=1) / np.sqrt(eps.size)) if eps.size > 1 else 0.0
     return DepolarizingEstimate(epsilon=float(np.mean(eps)), stderr=stderr)
 

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aqs_magnus import _check_target_spectrum, design_sequence
-from .channels import twirl_analytic_all, twirl_set_all, unitary_stack
+from .channels import haar_strengths, set_strengths, unitary_stack
+from .errors import BadLength, DimensionMismatch
 from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, eigvals_hermitian, expm_product, finite_floats
 from .user_recon import Observable, PureState, required_n_l, user_reconstruct
 
@@ -96,21 +97,26 @@ def _design_ensemble(target_A: np.ndarray, config: SearConfig) -> tuple[np.ndarr
 def estimate_noise_strength(
     members: np.ndarray, twirl_set: Optional[Sequence[np.ndarray]], psi: PureState, O: Observable
 ) -> tuple[float, list[float]]:
-    """Per-k twirl of member U_k's defect channel, with Kraus operators
-    U_a U_k^dag / sqrt(n) over the n members U_a (the `U_k` stack of
-    `generate_approx_unitaries`), then the mean.  twirl_set None is the Haar
-    measure, in closed form from overlaps (no probe read); an explicit set is
-    twirled on the probe.  Members and set are checked unitary once, not once
-    per k.  With an explicit set and a zero-spread observable (a multiple of
-    the identity) no probe can resolve a noise strength, and none is needed:
-    every per_k is 0, once both stacks are checked."""
+    """Per-k twirl of member U_k's defect channel (Kraus operators
+    U_a U_k^dag / sqrt(n) over the n members U_a of the `U_k` stack), then the
+    mean; the one function that twirls an ensemble.  Checks, in order, each
+    once: the members are one unitary stack (`unitary_stack`), not empty
+    (`BadLength`); an explicit set is one unitary stack and, unless empty, of
+    the members' dimension, as are probe and observable (`DimensionMismatch`).
+    twirl_set None is the closed-form Haar twirl (`haar_strengths`, no probe
+    read); a set is twirled on the probe (`set_strengths`), but a zero-spread
+    observable resolves no noise strength and needs none: every per_k is 0."""
+    U = unitary_stack(members)
+    if not len(U):
+        raise BadLength("need at least one ensemble member")
     if twirl_set is None:
-        per_k = twirl_analytic_all(members)
-    elif O.spread() <= TOL_EIG:
-        per_k = np.zeros(len(unitary_stack(members)))
-        unitary_stack(twirl_set)
+        per_k = haar_strengths(U, U)
     else:
-        per_k = twirl_set_all(members, twirl_set, psi, O)
+        W, d = unitary_stack(twirl_set), U.shape[-1]
+        if not d == psi.dim == O.dim or (len(W) and W.shape[1:] != (d, d)):
+            raise DimensionMismatch(f"dims differ: members {d}, set {W.shape[1:]}, probe {psi.dim}, observable {O.dim}")
+        w, zero = 1.0 / np.sqrt(len(U)), O.spread() <= TOL_EIG
+        per_k = np.array([0.0 if zero else np.mean(set_strengths(w * (U @ U_k.conj().T), W, psi, O)) for U_k in U])
     return float(np.mean(per_k)), per_k.tolist()
 
 

@@ -6,9 +6,14 @@ independent oracle module or asserted against a closed form.  A zero-slack
 coverage check follows the criteria.
 """
 
+import filecmp
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ from conftest import no_defect_slack, random_hermitian, random_state, random_tar
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
 from userkit.channels import noise_strength_from_expectation
 from userkit.cli import main
-from userkit.config import Experiment, preset_config, resolve_config
+from userkit.config import EMIT_KINDS, Experiment, preset_config, resolve_config
 from userkit.lattice import LatticeSpec, build_lattice_family
 from userkit.matrix_core import expm_hermitian_i
 from userkit.oracle import (
@@ -240,6 +245,26 @@ def test_criterion_9_determinism(tmp_path):
         outs.append((out_dir / "result.json").read_bytes())
     ok = outs[0] == outs[1]
     _report(9, "determinism", ok, f"{len(outs[0])} bytes, identical={ok}")
+
+
+@pytest.mark.parametrize("twirl_mode", ["haar", "simulable"])
+def test_criterion_9_blas_thread_count(tmp_path, twirl_mode):
+    """At 1 and at 2 BLAS threads, `userkit run` on noisy-16 writes every
+    artifact byte for byte alike.  Checked at d=16: from n_sites 176 on, the
+    rescale of A itself depends on the thread count (README, Determinism)."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(preset_config("noisy-16").raw, twirl_mode=twirl_mode, emit=sorted(EMIT_KINDS))))
+    src = Path(__file__).resolve().parent.parent / "src"
+    out_dirs = [tmp_path / f"threads-{n}" for n in ("1", "2")]
+    for n, out_dir in zip(("1", "2"), out_dirs):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
+        cmd = [sys.executable, "-m", "userkit.cli", "run", str(cfg_path), "--seed", "1", "--out", str(out_dir)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = sorted(p.name for p in out_dirs[0].iterdir())
+    assert names == sorted(p.name for p in out_dirs[1].iterdir()) and len(names) == len(EMIT_KINDS)
+    differ = [name for name in names if not filecmp.cmp(out_dirs[0] / name, out_dirs[1] / name, shallow=False)]
+    _report(9, f"BLAS thread count ({twirl_mode})", not differ, f"{len(names)} artifacts, differing: {differ}")
 
 
 def test_zero_slack_coverage():

@@ -4,9 +4,9 @@ import pytest
 from userkit.channels import (
     DensityMatrix,
     KrausChannel,
-    _set_strengths,
+    haar_strengths,
     noise_strength_from_expectation,
-    twirl_analytic_all,
+    set_strengths,
     unitary_stack,
 )
 from userkit.errors import (
@@ -31,6 +31,7 @@ from userkit.oracle import (
     twirl_discrete,
     twirl_haar_mc,
 )
+from userkit.sear import estimate_noise_strength
 from userkit.user_recon import Observable, PureState
 from conftest import random_hermitian, random_state
 
@@ -227,19 +228,21 @@ class TestTwirlAnalytic:
         # 300 members at d=16 take the overlaps in blocks of rows: each member's
         # eps is its own twirl_analytic call, bit for bit
         members = unitary_stack(random_unitaries(rng, 16, 300))
-        per_k = twirl_analytic_all(members)
+        per_k = haar_strengths(members, members)
         assert per_k.shape == (300,) and np.all(per_k > 0.0)
         assert np.array_equal(per_k, [twirl_analytic(U, members).epsilon for U in members])
         few = random_unitaries(rng, 3, 4)
-        assert twirl_analytic_all(few).tolist() == [twirl_analytic(U, few).epsilon for U in few]
+        psi, O = PureState(random_state(rng, 3)), Observable(random_hermitian(rng, 3))
+        assert estimate_noise_strength(few, None, psi, O)[1] == [twirl_analytic(U, few).epsilon for U in few]
 
     def test_all_members_checked(self):
+        psi, O = PureState(np.array([1.0, 0.0])), Observable(Z)
         with pytest.raises(BadLength, match="at least one"):
-            twirl_analytic_all([])
+            estimate_noise_strength([], None, psi, O)
         with pytest.raises(NotUnitary):
-            twirl_analytic_all([np.eye(2), 1.1 * np.eye(2)])
+            estimate_noise_strength([np.eye(2), 1.1 * np.eye(2)], None, psi, O)
         with pytest.raises(DimensionMismatch):
-            twirl_analytic_all([np.eye(2), np.eye(3)])
+            estimate_noise_strength([np.eye(2), np.eye(3)], None, psi, O)
 
 
 class TestTwirlHaarMc:
@@ -356,14 +359,14 @@ class TestTwirlKernel:
         O = Observable(Z)
         members = np.array([1.01 * np.eye(2)], dtype=complex)
         with pytest.raises(TraceViolation):
-            _set_strengths(kraus, members, PureState(np.array([1.0, 0.0])), O)
+            set_strengths(kraus, members, PureState(np.array([1.0, 0.0])), O)
 
     def test_later_member_trace_checked(self):
         # every member's output trace is checked, not only the first one's
         kraus = np.eye(2, dtype=complex)[None]
         members = np.array([np.eye(2), np.eye(2), 1.01 * np.eye(2)], dtype=complex)
         with pytest.raises(TraceViolation, match="1.0406"):
-            _set_strengths(kraus, members, PureState(np.array([1.0, 0.0])), Observable(Z))
+            set_strengths(kraus, members, PureState(np.array([1.0, 0.0])), Observable(Z))
 
     def test_set_dimension_checked(self, rng):
         ch = KrausChannel((np.eye(2, dtype=complex),))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from userkit.aqs_magnus import design_sequence
-from userkit.channels import twirl_set_all
 from userkit.config import Experiment, resolve_config
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i, expm_product
 from userkit.oracle import mc_haar_unitary, sear_error_channel, twirl_analytic, twirl_discrete
@@ -156,19 +155,43 @@ class TestEstimateNoiseStrength:
             estimate_noise_strength(U_k, [3.0 * np.eye(4)], psi, Observable(2.5 * np.eye(4)))
         assert estimate_noise_strength(U_k, [np.eye(4)], psi, Observable(2.5 * np.eye(4))) == (0.0, [0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_spread_empty_members_raise_bad_length(self, rng):
+        # the members are checked before any branch: no (nan, []) from an empty stack
+        from userkit.errors import BadLength
+
+        psi, zero_spread = PureState(random_state(rng, 4)), Observable(2.5 * np.eye(4))
+        for twirl_set in ([np.eye(4)], [], None):
+            with pytest.raises(BadLength, match="ensemble member"):
+                estimate_noise_strength([], twirl_set, psi, zero_spread)
+
+    def test_zero_spread_dimension_mismatch_raises(self, rng):
+        # a set, probe or observable of another dimension than the members' is
+        # refused before the zero-spread shortcut returns, as in the other branches
+        from userkit.errors import DimensionMismatch
+
+        A, psi, _ = make_problem(rng)
+        U_k, _ = generate_approx_unitaries(A, SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4))
+        zero_spread = Observable(2.5 * np.eye(4))
+        with pytest.raises(DimensionMismatch):
+            estimate_noise_strength(U_k, [np.eye(3)], psi, zero_spread)
+        with pytest.raises(DimensionMismatch):
+            estimate_noise_strength(U_k, [np.eye(4)], PureState(random_state(rng, 3)), Observable(2.5 * np.eye(3)))
+        with pytest.raises(DimensionMismatch):
+            estimate_noise_strength(U_k, [], PureState(random_state(rng, 3)), Observable(2.5 * np.eye(3)))
+        assert estimate_noise_strength(U_k, [np.eye(4)], psi, zero_spread) == (0.0, [0.0, 0.0])
+
     def test_matches_analytic_twirl(self, rng):
         A, psi, O = make_problem(rng)
         cfg = SearConfig(lambdas=(0.25, 0.2), perturbation=1e-2, seed=4)
         unitaries, _ = generate_approx_unitaries(A, cfg)
         twirl_set = haar_twirl_set(4, 500, 8)
         mean_eps, per_k = estimate_noise_strength(unitaries, twirl_set, psi, O)
-        all_k = twirl_set_all(unitaries, twirl_set, psi, O)
         for k, eps_k in enumerate(per_k):
             an = twirl_analytic(unitaries[k], unitaries)
             est = twirl_discrete(sear_error_channel(unitaries[k], unitaries), twirl_set, psi, O)
-            assert eps_k == pytest.approx(est.epsilon, abs=1e-12)
             # the stacked twirl is the channel-object reference, bit for bit
-            assert all_k[k] == est.epsilon
+            assert eps_k == est.epsilon
             # small eps is dominated by the O(1/sqrt(n_t)) twirl fluctuation
             assert abs(eps_k - an.epsilon) <= 3.0 * est.stderr + 1e-10
 
