@@ -22,16 +22,19 @@ every `U_k` of that ensemble at d=16 over the 64-member simulable twirl set of
 `noisy-16` with `twirl_mode: simulable`, `n_t: 64` (both stacks checked once
 per call, then per member one Kraus stack and `chi` formed for all set members
 at once, `channels.set_strengths`);
-`time_ordered_evolve` builds one member of the simulable twirl set
-(`twirl_mode: simulable`, `TWIRL_STEPS` = 16 fourth-order Magnus steps,
-multiplied out by `expm_product`) of `noisy-16` at d=16 and at n_sites=128;
+`_simulable_twirl_set` builds that whole 64-member set (one
+`time_ordered_evolve` call on the drives as arrays: pools of 8 members of
+`TWIRL_STEPS` = 16 fourth-order Magnus steps, each pool multiplied out by one
+`expm_product` call); `time_ordered_evolve` builds one member of such a set
+(a spec of numbers) of `noisy-16` at d=16 and at n_sites=128;
 `magnus_truncated` forms the order-2 Magnus operator of the lattice family at
 the same drive, on a 128-step midpoint grid (acceptance criterion 3 and
 `scripts/magnus_slopes.py` use 1,024 steps), at d=16 and at n_sites=128;
 `expm_hermitian_i` exponentiates the first block of step generators `G_n` that
-`expm_product` exponentiates at once for that member (a stack of 16 at d=16
-and one matrix at n_sites=128), from matrix products, and `eig_hermitian`
-decomposes the same block, as `run_sear`'s exact reference decomposes `A`.
+`expm_product` passes it in a run (at d=16 the first pool of the simulable
+set, 8 members x 16 steps; at n_sites=128 the first 2 steps of the member
+above), from matrix products, and `eig_hermitian` decomposes the same block,
+as `run_sear`'s exact reference decomposes `A`.
 `bench/` is outside the test suite's `testpaths`, so a plain `pytest` run
 skips it.
 """
@@ -40,7 +43,8 @@ import numpy as np
 import pytest
 
 from userkit.aqs_magnus import EvolutionSpec, magnus_truncated, time_ordered_evolve
-from userkit.config import TWIRL_STEPS, Experiment, preset_config, resolve_config
+from userkit import matrix_core
+from userkit.config import TWIRL_STEPS, Experiment, _simulable_twirl_set, preset_config, resolve_config
 from userkit.lattice import build_lattice_family
 from userkit.matrix_core import eig_hermitian, expm_hermitian_i
 from userkit.sear import estimate_noise_strength, generate_approx_unitaries, run_sear
@@ -103,12 +107,27 @@ def test_twirl_simulable_set_d16(benchmark):
     assert len(exp.twirl_set) == 64 and len(per_k) == len(U_k)
 
 
+def simulable_config(n_sites=16):
+    return resolve_config(dict(preset_config("noisy-16").raw, n_sites=n_sites, twirl_mode="simulable", n_t=64))
+
+
+def middle_member(n_sites):
+    """The lattice family at n_sites and the spec of one simulable member at
+    the middle of the (gamma, t) ranges the twirl set draws from."""
+    cfg = simulable_config(n_sites)
+    spec = EvolutionSpec(gamma=cfg.raw["drive_omega"], t_final=0.65, n_steps=TWIRL_STEPS)
+    return build_lattice_family(cfg.lattice), spec
+
+
+def test_simulable_twirl_set(benchmark):
+    cfg = simulable_config()
+    members = benchmark(_simulable_twirl_set, cfg.raw, cfg.lattice)
+    assert members.shape == (64, 16, 16)
+
+
 @pytest.mark.parametrize("n_sites", [16, 128], ids=["d16", "d128"])
 def test_time_ordered_evolve(benchmark, n_sites):
-    cfg = resolve_config(dict(preset_config("noisy-16").raw, n_sites=n_sites))
-    fam = build_lattice_family(cfg.lattice)
-    # the middle of the (gamma, t) ranges the simulable twirl set draws from
-    spec = EvolutionSpec(gamma=cfg.raw["drive_omega"], t_final=0.65, n_steps=TWIRL_STEPS)
+    fam, spec = middle_member(n_sites)
     U = benchmark(time_ordered_evolve, fam, spec)
     assert U.shape == (n_sites, n_sites)
 
@@ -121,25 +140,26 @@ def test_magnus_truncated(benchmark, n_sites):
     assert M.shape == (n_sites, n_sites)
 
 
-@pytest.fixture(scope="module", params=[(16, 16), (128, 1)], ids=["d16_stack16", "d128"])
+@pytest.fixture(scope="module", params=[16, 128], ids=["d16_pool8x16", "d128_steps2"])
 def first_generators(request):
-    """The first block of step generators G_n of the member above."""
-    n_sites, n_slices = request.param
-    cfg = resolve_config(dict(preset_config("noisy-16").raw, n_sites=n_sites))
-    fam = build_lattice_family(cfg.lattice)
-    h = 0.65 / TWIRL_STEPS
-    t = np.arange(n_slices) * h
-    s1 = np.sin(cfg.raw["drive_omega"] * (t + (0.5 - np.sqrt(3.0) / 6.0) * h))
-    s2 = np.sin(cfg.raw["drive_omega"] * (t + (0.5 + np.sqrt(3.0) / 6.0) * h))
-    H = (
-        h * fam.K
-        + (0.5 * h * (s1 + s2))[:, None, None] * fam.V
-        + ((np.sqrt(3.0) / 12.0) * h * h * (s2 - s1))[:, None, None] * fam.iKV
-    )
-    return H if n_slices > 1 else H[0]
+    """The first block of step generators G_n that `expm_product` passes to
+    `expm_hermitian_i`, captured in a run: at d=16 from the simulable set's
+    build (its first pool, 8 members x 16 steps), at n_sites=128 from the
+    evolution of the member above (its first 2 steps)."""
+    blocks = []
+    expm = matrix_core.expm_hermitian_i
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix_core, "expm_hermitian_i", lambda H, scale: blocks.append(H) or expm(H, scale))
+        if request.param == 16:
+            cfg = simulable_config()
+            _simulable_twirl_set(cfg.raw, cfg.lattice)
+        else:
+            time_ordered_evolve(*middle_member(request.param))
+    return blocks[0]
 
 
 def test_expm_hermitian_i(benchmark, first_generators):
+    assert first_generators.shape in [(8 * TWIRL_STEPS, 16, 16), (2, 128, 128)]
     U = benchmark(expm_hermitian_i, first_generators, -1.0)
     assert U.shape == first_generators.shape
 

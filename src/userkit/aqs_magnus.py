@@ -15,13 +15,14 @@ that e^{i Omega_1} = e^{-i int H} for commuting families.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from math import pi, sqrt
 
 import numpy as np
 
 from .errors import SpectrumOutOfRange, UnsupportedOrder
-from .matrix_core import TOL_EIG, _hermitian, as_matrix, expm_product
+from .matrix_core import PRODUCT_ENTRIES, TOL_EIG, _hermitian, as_matrix, expm_product, finite_floats, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,29 @@ class HamiltonianFamily:
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    gamma: float
-    t_final: float
+    """The drive frequency gamma and evolution time t_final of one evolution,
+    or of m: each may be a finite number or a 1-d array of them, and arrays
+    share one length m.  Checked on construction: every t_final positive, and
+    n_steps an int (not a bool) of at least 16."""
+
+    gamma: float | np.ndarray
+    t_final: float | np.ndarray
     n_steps: int = 512
 
     def __post_init__(self):
-        if self.t_final <= 0:
+        n = self.n_steps
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 16:
+            raise ValueError(f"n_steps must be an int >= 16, got {n!r}")
+        for name in ("gamma", "t_final"):
+            value = getattr(self, name)
+            if np.ndim(value):
+                object.__setattr__(self, name, np.array(finite_floats(name, value)))
+            elif not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number or a 1-d array of them, got {value!r}")
+        if np.ndim(self.gamma) and np.ndim(self.t_final) and len(self.gamma) != len(self.t_final):
+            raise ValueError(f"gamma and t_final arrays differ in length: {len(self.gamma)} vs {len(self.t_final)}")
+        if not np.all(np.asarray(self.t_final) > 0):
             raise ValueError("t_final must be positive")
-        if self.n_steps < 16:
-            raise ValueError("n_steps must be >= 16")
 
 
 def _drive(gamma: float, t: float, n_steps: int) -> tuple[np.ndarray, float]:
@@ -68,7 +83,9 @@ def _drive(gamma: float, t: float, n_steps: int) -> tuple[np.ndarray, float]:
 
 
 def time_ordered_evolve(fam: HamiltonianFamily, spec: EvolutionSpec) -> np.ndarray:
-    """Ordered product of fourth-order Magnus steps, latest step leftmost.
+    """Ordered product of fourth-order Magnus steps, latest step leftmost: a
+    (d, d) matrix for a spec of numbers, an (m, d, d) stack for a spec of
+    arrays (or of an array and a number), one evolution per entry.
 
     Step n of h = t/n_steps is e^{-i G_n} with the two-node Gauss-Legendre
     Magnus generator (Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999);
@@ -78,16 +95,25 @@ def time_ordered_evolve(fam: HamiltonianFamily, spec: EvolutionSpec) -> np.ndarr
     of the family's iKV and
         G_n = (h/2) (2K + (s_1 + s_2) V) + (sqrt(3) h^2 / 12) (s_2 - s_1) iKV,
     one exponential per step, with a local error O(h^5).  A constant family is
-    integrated exactly.  The n_steps generators G_n are formed as one stack
-    and multiplied out by `expm_product`."""
-    h = spec.t_final / spec.n_steps
+    integrated exactly.  The generators of `PRODUCT_ENTRIES // (n_steps d^2)`
+    evolutions (at least one) are formed at a time, as one
+    (pool, n_steps, d, d) array, and multiplied out by one `expm_product`
+    call; each evolution equals its own call with numbers bit for bit."""
+    gamma, t = np.broadcast_arrays(np.asarray(spec.gamma, dtype=float), np.asarray(spec.t_final, dtype=float))
+    gamma, t = np.atleast_1d(gamma)[:, None], np.atleast_1d(t)[:, None]
+    h = t / spec.n_steps
     start_times = np.arange(spec.n_steps) * h
-    s1 = np.sin(spec.gamma * (start_times + (0.5 - sqrt(3.0) / 6.0) * h))
-    s2 = np.sin(spec.gamma * (start_times + (0.5 + sqrt(3.0) / 6.0) * h))
+    s1 = np.sin(gamma * (start_times + (0.5 - sqrt(3.0) / 6.0) * h))
+    s2 = np.sin(gamma * (start_times + (0.5 + sqrt(3.0) / 6.0) * h))
     v_coef = 0.5 * h * (s1 + s2)
     c_coef = (sqrt(3.0) / 12.0) * h * h * (s2 - s1)
-    G = h * fam.K + v_coef[:, None, None] * fam.V + c_coef[:, None, None] * fam.iKV
-    return expm_product(G, -1.0)
+    U = np.empty((len(h), fam.dim, fam.dim), dtype=complex)
+    pool = max(1, PRODUCT_ENTRIES // (spec.n_steps * fam.dim**2))
+    for a in range(0, len(U), pool):
+        b = slice(a, a + pool)
+        G = h[b, :, None, None] * fam.K + v_coef[b, :, None, None] * fam.V + c_coef[b, :, None, None] * fam.iKV
+        U[b] = expm_product(G, -1.0)
+    return U if np.ndim(spec.gamma) or np.ndim(spec.t_final) else U[0]
 
 
 def magnus_omega1(fam: HamiltonianFamily, gamma: float, t: float, n_steps: int = 512) -> np.ndarray:

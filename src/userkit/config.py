@@ -234,12 +234,9 @@ def _simulable_twirl_set(r: dict, lattice: LatticeSpec) -> np.ndarray:
     """AQS evolutions on a seeded (gamma, t) grid, as one (n_t, d, d) stack that
     the twirl reads without copying: not a unitary 2-design, so the noise
     strengths carry a set-dependent bias (epsilon.json records the mode)."""
-    fam = build_lattice_family(lattice)
-    drives = _twirl_drives(r)
-    members = np.empty((len(drives), fam.dim, fam.dim), dtype=complex)
-    for member, (gamma, t) in zip(members, drives):
-        member[...] = time_ordered_evolve(fam, EvolutionSpec(gamma=gamma, t_final=t, n_steps=TWIRL_STEPS))
-    return members
+    gamma, t = np.array(_twirl_drives(r)).T
+    spec = EvolutionSpec(gamma=gamma, t_final=t, n_steps=TWIRL_STEPS)
+    return time_ordered_evolve(build_lattice_family(lattice), spec)
 
 
 def preset_config(name: str) -> ExperimentConfig:

@@ -1,8 +1,9 @@
 """Dense complex-matrix substrate: the one place that decides whether a
 matrix is Hermitian (`_hermitian`, which also symmetrizes it) or unitary
 (`unitarity_defect`), how a Hermitian matrix is decomposed (`HermitianEig`),
-how many entries a stacked block holds (`BLOCK_ENTRIES`), how e^{i scale H}
-is evaluated, and how an ordered product of them is formed (`expm_product`).
+how many entries a stacked block holds (`BLOCK_ENTRIES`, and
+`PRODUCT_ENTRIES` for an ordered product), how e^{i scale H} is evaluated,
+and how an ordered product of them is formed (`expm_product`).
 
 Dimensions here are small (d <= 256), so everything is dense.
 `eig_hermitian` is one LAPACK eigendecomposition, and `eigvals_hermitian` the
@@ -11,7 +12,8 @@ built from matrix products only (a scaled Taylor polynomial of a degree chosen
 per slice, squared back), and there are no Pade or Krylov code paths.  All
 three take one (d, d) matrix or an (n, d, d) stack, and treat each slice of a
 stack bit for bit as they treat a single matrix.  `expm_product` serves a
-SEAR member's `U_sd` (its pulses) and an AQS evolution (its Magnus steps).
+SEAR member's `U_sd` (its pulses) and AQS evolutions (their Magnus steps),
+one product or a pool of them.
 """
 
 from __future__ import annotations
@@ -33,12 +35,21 @@ TOL_EIG = 1e-10
 TOL_UNITARY = 1e-9
 # Largest number of matrix entries one stacked product takes at once: 64 KB
 # of complex numbers, 16 matrices at d=16 and one from d=64 up.  The unitarity
-# check and the twirl go a block of members at a time, and `expm_product` a
-# block of factors, so their working sets (the Taylor powers of a block, say)
-# do not grow with the number of members or factors.  The factors themselves
-# are one stack: `time_ordered_evolve` forms all its n_steps generators at
-# once (16 d^2 entries in a run), and a design its n_s pulses.
+# check and the twirl go a block of members at a time, and `expm_hermitian_i`
+# evaluates a block of one Taylor plan's slices per `_taylor` call, so their
+# working sets (the Taylor powers of a block, say) do not grow with the number
+# of members or factors.
 BLOCK_ENTRIES = 1 << 12
+# Largest number of factor entries one `expm_product` call exponentiates at
+# once (512 KB of complex numbers), summed over the rows of its products, and
+# of generator entries `time_ordered_evolve` forms at once: at d=16 and 16
+# steps a pool of 8 members of the simulable twirl set, whose 128 slices fill
+# each Taylor plan's blocks; at d=128, two factors.  The `noisy-16` simulable
+# set (64 members, d=16) took 32.5, 27.1, 23.8, 22.8, 25.5 and 28.5 ms in
+# pools of 1, 2, 4, 8, 16 and 64 members (medians of 30 alternating builds,
+# one CPU, one BLAS thread), so larger pools are slower again.  Pools of 8
+# take it from 154 `_taylor` calls to 75, for about 2 MB more peak memory.
+PRODUCT_ENTRIES = 8 * BLOCK_ENTRIES
 
 # e^X for X = i scale H is a Taylor polynomial of X 2^-s, squared s times.
 # With X^2, X^3 and X^4 formed (3 products), Paterson-Stockmeyer evaluates the
@@ -198,35 +209,44 @@ def expm_hermitian_i(H: np.ndarray, scale: float) -> np.ndarray:
     """e^{i * scale * H} for Hermitian H (or each slice of a stack), from matrix
     products: the scaled Taylor polynomial described at `_THETAS`, with each
     slice's own degree and number of squarings s.  The slices that share one
-    (q, s) are evaluated together by `_taylor`, so a stack gives each slice's
-    single result bit for bit.  A slice that would need more than
-    `_MAX_SQUARINGS`, or whose |scale| ||H||_1 is not finite, raises
-    SpectrumOutOfRange."""
+    (q, s) are evaluated together by `_taylor`, a `BLOCK_ENTRIES` block of
+    them at a time, so a stack gives each slice's single result bit for bit.
+    A slice that would need more than `_MAX_SQUARINGS`, or whose
+    |scale| ||H||_1 is not finite, raises SpectrumOutOfRange."""
     X = _hermitian(H)
     shape = X.shape
     X = X.reshape(-1, shape[-1], shape[-1])
     plans = [_taylor_plan(abs(scale) * norm) for norm in np.max(np.sum(np.abs(X), axis=-2), axis=-1).tolist()]
     X *= np.array([1j * scale * 2.0**-s for _, s in plans])[:, None, None]
-    if len(set(plans)) == 1:  # one plan (a single matrix, say): the whole stack, with no copy
+    block = max(1, BLOCK_ENTRIES // shape[-1] ** 2)
+    if len(X) <= block and len(set(plans)) == 1:  # one block of one plan (a single matrix, say): no copy
         return _taylor(X, *plans[0]).reshape(shape)
     U = np.empty_like(X)
     for plan in set(plans):
         idx = [i for i, p in enumerate(plans) if p == plan]
-        U[idx] = _taylor(X[idx], *plan)
+        for start in range(0, len(idx), block):
+            part = idx[start : start + block]
+            U[part] = _taylor(X[part], *plan)
     return U.reshape(shape)
 
 
 def expm_product(H: np.ndarray, scale: float) -> np.ndarray:
     """e^{i scale H_{n-1}} ... e^{i scale H_0} for an (n, d, d) stack of
     Hermitian H, latest factor leftmost, started from the first factor (not
-    from I).  `expm_hermitian_i` checks and exponentiates a `BLOCK_ENTRIES`
-    block of factors at a time, so the product equals a per-factor loop bit
-    for bit.  An empty stack, or a single matrix, raises BadLength."""
-    if np.ndim(H) != 3 or not len(H):
-        raise BadLength(f"need a nonempty (n, d, d) stack of factors, got shape {np.shape(H)}")
-    block = max(1, BLOCK_ENTRIES // np.shape(H)[-1] ** 2)
+    from I); or, for an (m, n, d, d) array, the m products of its rows, as an
+    (m, d, d) stack.  Each `expm_hermitian_i` call checks and exponentiates the
+    next `PRODUCT_ENTRIES // (m d^2)` factors (at least one) of every row, and
+    the rows are multiplied out step by step, so row k equals its own (n, d, d)
+    call, and each product a per-factor loop, bit for bit.  An empty stack, or
+    a single matrix, raises BadLength."""
+    if np.ndim(H) not in (3, 4) or 0 in np.shape(H)[:-2]:
+        raise BadLength(f"need a nonempty (n, d, d) or (m, n, d, d) stack of factors, got shape {np.shape(H)}")
+    rows = np.asarray(H).reshape(-1, *np.shape(H)[-3:])
+    m, n, d = rows.shape[:3]
+    steps = max(1, PRODUCT_ENTRIES // (m * d * d))
     U = None
-    for start in range(0, len(H), block):
-        for E in expm_hermitian_i(H[start : start + block], scale):
-            U = E if U is None else E @ U
-    return U
+    for start in range(0, n, steps):
+        E = expm_hermitian_i(rows[:, start : start + steps].reshape(-1, d, d), scale).reshape(m, -1, d, d)
+        for j in range(E.shape[1]):
+            U = E[:, j] if U is None else E[:, j] @ U
+    return U if np.ndim(H) == 4 else U[0]

@@ -15,7 +15,14 @@ from userkit.aqs_magnus import (
 from userkit.config import TWIRL_STEPS, _simulable_twirl_set, _twirl_drives, preset_config, resolve_config
 from userkit.errors import NotHermitian, SpectrumOutOfRange, UnsupportedOrder
 from userkit.lattice import LatticeSpec, build_lattice_family
-from userkit.matrix_core import BLOCK_ENTRIES, expm_hermitian_i, expm_product, hermiticity_defect, is_unitary
+from userkit.matrix_core import (
+    BLOCK_ENTRIES,
+    PRODUCT_ENTRIES,
+    expm_hermitian_i,
+    expm_product,
+    hermiticity_defect,
+    is_unitary,
+)
 from userkit.sear import SearConfig, generate_approx_unitaries
 from conftest import random_hermitian, random_target_A
 
@@ -111,6 +118,29 @@ class TestTimeOrderedEvolve:
             ref = expm_hermitian_i(G, -1.0) @ ref
         assert np.array_equal(time_ordered_evolve(fam, spec), ref)
 
+    @pytest.mark.parametrize("n_sites, n_t", [(24, 7), (96, 3)])
+    def test_array_spec_equals_float_specs(self, n_sites, n_t):
+        # a pool holds PRODUCT_ENTRIES // (16 d^2) evolutions: at d=24 it
+        # holds 3, so 7 members end in a pool that is not filled; at d=96 one
+        assert PRODUCT_ENTRIES // (16 * 24**2) == 3 and PRODUCT_ENTRIES // (16 * 96**2) == 0
+        r = dict(preset_config("noisy-16").raw, twirl_mode="simulable", n_t=n_t, n_sites=n_sites)
+        fam = build_lattice_family(resolve_config(r).lattice)
+        gamma, t = np.array(_twirl_drives(r)).T
+        U = time_ordered_evolve(fam, EvolutionSpec(gamma=gamma, t_final=t, n_steps=16))
+        assert U.shape == (n_t, n_sites, n_sites)
+        for k in range(n_t):
+            assert np.array_equal(U[k], time_ordered_evolve(fam, EvolutionSpec(gamma[k], t[k], n_steps=16)))
+
+    def test_number_and_array_broadcast(self):
+        fam = linear_drive_family()
+        t = np.array([0.3, 0.7, 1.1])
+        U = time_ordered_evolve(fam, EvolutionSpec(gamma=6.5, t_final=t, n_steps=40))
+        V = time_ordered_evolve(fam, EvolutionSpec(gamma=np.array([6.5]), t_final=0.7, n_steps=40))
+        assert U.shape == (3, 2, 2) and V.shape == (1, 2, 2)
+        for k in range(3):
+            assert np.array_equal(U[k], time_ordered_evolve(fam, EvolutionSpec(6.5, float(t[k]), n_steps=40)))
+        assert np.array_equal(V[0], U[1])
+
     def test_non_hermitian_generator_rejected(self):
         # the family's matrices are checked once, on construction
         with pytest.raises(NotHermitian):
@@ -133,6 +163,47 @@ class TestTimeOrderedEvolve:
         assert fam.dim == 2 and fam.K.dtype == complex and np.array_equal(fam.V, Z)
         # i[X, Z] = i(-2iY) = 2Y
         assert np.array_equal(fam.iKV, 2.0 * Y)
+
+
+class TestEvolutionSpec:
+    """The spec checks what it is given, on construction."""
+
+    @pytest.mark.parametrize("n_steps", [16.5, 16.0, True, "16", np.float64(32.0)])
+    def test_n_steps_must_be_an_int(self, n_steps):
+        # 16.5 steps would take 17 steps of t/16.5
+        with pytest.raises(ValueError, match="int"):
+            EvolutionSpec(gamma=1.0, t_final=1.0, n_steps=n_steps)
+
+    def test_numpy_int_n_steps_taken(self):
+        assert EvolutionSpec(gamma=1.0, t_final=1.0, n_steps=np.int64(16)).n_steps == 16
+
+    @pytest.mark.parametrize("name", ["gamma", "t_final"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, [0.5, np.nan], np.array([np.inf, 0.5]), [[0.5]], "1"])
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EvolutionSpec(**{"gamma": 1.0, "t_final": 1.0, name: bad})
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, [0.5, 0.0], np.array([0.5, -0.1, 1.0])])
+    def test_non_positive_t_final_rejected(self, t_final):
+        with pytest.raises(ValueError, match="positive"):
+            EvolutionSpec(gamma=1.0, t_final=t_final, n_steps=16)
+
+    def test_array_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="length"):
+            EvolutionSpec(gamma=np.array([1.0, 2.0]), t_final=np.array([0.5, 0.6, 0.7]), n_steps=16)
+
+    def test_arrays_stored_as_floats(self):
+        spec = EvolutionSpec(gamma=[1, 2], t_final=np.array([0.5, 0.6]), n_steps=16)
+        assert spec.gamma.dtype == spec.t_final.dtype == float and spec.gamma.tolist() == [1.0, 2.0]
+
+    def test_constant_family_exact_at_int_steps_only(self, rng):
+        # a constant family is integrated exactly at any int step count; 16.5
+        # steps would take 17 steps of t/16.5, off by about 7.6e-3, and is refused
+        H = random_hermitian(rng, 4)
+        U = time_ordered_evolve(constant_family(H), EvolutionSpec(gamma=0.0, t_final=0.7, n_steps=17))
+        assert np.max(np.abs(U - scipy.linalg.expm(-0.7j * H))) < 1e-13
+        with pytest.raises(ValueError, match="int"):
+            EvolutionSpec(gamma=0.0, t_final=0.7, n_steps=16.5)
 
 
 class TestSimulableTwirlSet:
@@ -173,6 +244,42 @@ class TestSimulableTwirlSet:
         members = _simulable_twirl_set(r, resolve_config(r).lattice)
         assert len(members) == 64 and TWIRL_STEPS == 16
         assert sum(slices) == 64 * TWIRL_STEPS
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_per_member_evolutions(self, seed):
+        # one array-spec evolution of the whole set, against each member's own
+        # evolution from numbers
+        r = self.raw(seed)
+        lattice = resolve_config(r).lattice
+        fam = build_lattice_family(lattice)
+        members = _simulable_twirl_set(r, lattice)
+        for member, (gamma, t) in zip(members, _twirl_drives(r), strict=True):
+            assert np.array_equal(member, time_ordered_evolve(fam, EvolutionSpec(gamma, t, n_steps=TWIRL_STEPS)))
+
+    def test_pools_members_into_full_blocks(self, monkeypatch):
+        # seed 1's set: 8 pools of 8 members x 16 steps, one `expm_hermitian_i`
+        # call each, whose Taylor plans run in 75 `_taylor` calls of at most
+        # one block (the members one at a time took 64 and 154)
+        taylor_sizes, expm_sizes = [], []
+        taylor, expm = matrix_core._taylor, matrix_core.expm_hermitian_i
+
+        def counted_taylor(X, q, s):
+            taylor_sizes.append(X.shape)
+            return taylor(X, q, s)
+
+        def counted_expm(H, scale):
+            expm_sizes.append(H.shape)
+            return expm(H, scale)
+
+        monkeypatch.setattr(matrix_core, "_taylor", counted_taylor)
+        monkeypatch.setattr(matrix_core, "expm_hermitian_i", counted_expm)
+        r = self.raw(seed=1)
+        members = _simulable_twirl_set(r, resolve_config(r).lattice)
+        assert members.shape == (64, 16, 16) and PRODUCT_ENTRIES // (TWIRL_STEPS * 16**2) == 8
+        assert expm_sizes == [(8 * TWIRL_STEPS, 16, 16)] * 8
+        assert len(taylor_sizes) == 75
+        for sizes, limit in ((taylor_sizes, BLOCK_ENTRIES), (expm_sizes, PRODUCT_ENTRIES)):
+            assert all(np.prod(shape) <= limit or shape[0] == 1 for shape in sizes)
 
 
 class TestOmega1:

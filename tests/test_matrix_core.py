@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from userkit import matrix_core
 from userkit.errors import BadLength, NotHermitian, SpectrumOutOfRange
 from userkit.matrix_core import (
     _MAX_SQUARINGS,
     _THETA,
     _THETAS,
     BLOCK_ENTRIES,
+    PRODUCT_ENTRIES,
     TOL_UNITARY,
     _taylor_plan,
     as_matrix,
@@ -267,6 +269,25 @@ class TestTaylorDegree:
             assert np.array_equal(U[k], expm_hermitian_i(H[k], -1.0))
             assert np.max(np.abs(U[k] - scipy.linalg.expm(-1j * H[k]))) <= reference_bound(x)
 
+    def test_plans_run_in_full_blocks(self, rng, monkeypatch):
+        # at d=16 a block holds 16 slices: 40 slices of three plans (18, 13
+        # and 9, shuffled) take 2 + 1 + 1 `_taylor` calls, each of one plan
+        # and at most one block, and every slice equals its single result
+        assert BLOCK_ENTRIES // 16**2 == 16
+        norms = [0.05] * 18 + [0.3] * 13 + [3.0] * 9
+        norms = [norms[i] for i in rng.permutation(len(norms))]
+        H = np.stack([random_hermitian(rng, 16) for _ in norms])
+        for k, x in enumerate(norms):
+            H[k] *= x / one_norm(H[k])
+        calls = []
+        taylor = matrix_core._taylor
+        monkeypatch.setattr(matrix_core, "_taylor", lambda X, q, s: calls.append((len(X), q, s)) or taylor(X, q, s))
+        U = expm_hermitian_i(H, -1.0)
+        assert sorted(calls) == [(2, 2, 0), (9, 4, 2), (13, 3, 0), (16, 2, 0)]
+        monkeypatch.setattr(matrix_core, "_taylor", taylor)
+        for k in range(len(norms)):
+            assert np.array_equal(U[k], expm_hermitian_i(H[k], -1.0))
+
 
 def test_eigvals_hermitian(rng):
     H = random_hermitian(rng, 8)
@@ -292,6 +313,23 @@ class TestExpmProduct:
             U = expm_hermitian_i(G, -1.0) @ U
         assert np.array_equal(expm_product(H, -1.0), U)
 
+    @pytest.mark.parametrize("m, n, d", [(3, 50, 16), (5, 7, 2), (2, 3, 128)])
+    def test_rows_equal_their_own_products(self, rng, m, n, d):
+        # m products at once: at d=16 a call takes 32768 // (3 * 256) = 42
+        # steps of each row, so 50 steps cross a block; at d=128 one step of
+        # two rows fills a call.  The factors take every Taylor degree, with
+        # and without squarings, and each row equals its own (n, d, d) call
+        assert PRODUCT_ENTRIES // (3 * 16**2) == 42 < 50 and PRODUCT_ENTRIES // (2 * 128**2) == 1
+        norms = [0.0, 1e-4, 0.0016, 0.002, 0.05, 0.069, 0.071, 0.3, 0.34, 0.81, 0.83, 3.0, 20.0]
+        H = np.stack([[random_hermitian(rng, d) for _ in range(n)] for _ in range(m)])
+        for k in np.ndindex(m, n):
+            H[k] *= norms[rng.integers(len(norms))] / one_norm(H[k])
+        U = expm_product(H, -1.0)
+        assert U.shape == (m, d, d)
+        for k in range(m):
+            assert np.array_equal(U[k], expm_product(H[k], -1.0))
+        assert np.array_equal(expm_product(H[:1], -1.0)[0], expm_product(H[0], -1.0))
+
     def test_single_factor(self, rng):
         H = random_hermitian(rng, 5)
         assert np.array_equal(expm_product(H[None], 0.4), expm_hermitian_i(H, 0.4))
@@ -299,6 +337,11 @@ class TestExpmProduct:
     def test_empty_stack_rejected(self):
         with pytest.raises(BadLength):
             expm_product(np.zeros((0, 3, 3)), 1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 0, 3, 3), (1, 1, 1, 3, 3)])
+    def test_empty_rows_and_five_axes_rejected(self, shape):
+        with pytest.raises(BadLength, match="stack"):
+            expm_product(np.zeros(shape), 1.0)
 
     def test_single_matrix_rejected(self):
         with pytest.raises(BadLength, match="stack"):
