@@ -21,8 +21,8 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import SpectrumOutOfRange, UnsupportedOrder
-from .matrix_core import PRODUCT_ENTRIES, TOL_EIG, _hermitian, as_matrix, expm_product, finite_floats, is_finite_number
+from .errors import UnsupportedOrder
+from .matrix_core import PRODUCT_ENTRIES, _hermitian, as_matrix, expm_product, finite_floats, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -145,13 +145,6 @@ def magnus_truncated(
     if kappa == 2:
         M = M + magnus_omega2(fam, gamma, t, n_steps)
     return M
-
-
-def _check_target_spectrum(eigenvalues: np.ndarray) -> None:
-    """SpectrumOutOfRange unless the target's eigenvalues lie in [-1, 1] (within TOL_EIG)."""
-    radius = float(np.max(np.abs(eigenvalues)))
-    if radius > 1.0 + TOL_EIG:
-        raise SpectrumOutOfRange(f"target spectrum radius {radius:.6f} > 1")
 
 
 def design_sequence(target_A: np.ndarray, lam: float, perturbation: float, seed: int, n_s: int = 4) -> np.ndarray:

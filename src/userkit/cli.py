@@ -116,15 +116,12 @@ def _cmd_run(args) -> int:
 
 def _apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
     raw = dict(cfg.raw)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         raw["output_dir"] = args.out
-    if getattr(args, "emit", None):
-        kinds = []
-        for chunk in args.emit:
-            kinds.extend(x for x in chunk.split(",") if x)
-        raw["emit"] = kinds
+    if args.emit:
+        raw["emit"] = [kind for chunk in args.emit for kind in chunk.split(",") if kind]
     return resolve_config(raw)
 
 

@@ -85,28 +85,11 @@ PRESETS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A resolved config: its values, and the specs `resolve_config` checked them with."""
+
     raw: dict
-
-    @property
-    def lattice(self) -> LatticeSpec:
-        r = self.raw
-        return LatticeSpec(
-            n_sites=r["n_sites"],
-            mass=r["mass"],
-            spacing=r["spacing"],
-            slope=r["slope"],
-            kinetic_mod=r["kinetic_mod"],
-        )
-
-    @property
-    def sear(self) -> SearConfig:
-        r = self.raw
-        return SearConfig(
-            lambdas=r["lambdas"],
-            perturbation=r["perturbation"],
-            seed=r["seed"],
-            n_s=r["n_s"],
-        )
+    lattice: LatticeSpec
+    sear: SearConfig
 
     def config_hash(self) -> str:
         """Hash of the resolved values that select what is computed, so that
@@ -156,9 +139,15 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
         raise ConfigError(
             f"n_t * n_sites^2 = {raw['n_t'] * raw['n_sites'] ** 2} twirl-set entries exceed {MAX_TWIRL_ENTRIES}"
         )
-    cfg = ExperimentConfig(raw=raw)
     try:  # their own element and range checks, reported as config errors
-        cfg.lattice, cfg.sear
+        lattice = LatticeSpec(
+            n_sites=raw["n_sites"],
+            mass=raw["mass"],
+            spacing=raw["spacing"],
+            slope=raw["slope"],
+            kinetic_mod=raw["kinetic_mod"],
+        )
+        sear = SearConfig(lambdas=raw["lambdas"], perturbation=raw["perturbation"], seed=raw["seed"], n_s=raw["n_s"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     design_entries = len(raw["lambdas"]) * raw["n_s"] * raw["n_sites"] ** 2
@@ -166,7 +155,7 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
         raise ConfigError(
             f"len(lambdas) * n_s * n_sites^2 = {design_entries} design entries exceed {MAX_DESIGN_ENTRIES}"
         )
-    return cfg
+    return ExperimentConfig(raw=raw, lattice=lattice, sear=sear)
 
 
 @dataclass(frozen=True)
@@ -257,36 +246,44 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def probe_state_vector(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
-    """'basis:<index>' or 'gaussian:<center>:<width>' (positions in units of a)."""
-    parts = str(spec_str).split(":")
+    """'basis[:<index>]' (index 0 by default) or 'gaussian[:<center>[:<width>]]'
+    (center 0 and width 1 by default, in units of a): an index in [0, n_sites),
+    a finite center, a finite, positive width whose square neither overflows nor
+    underflows to 0.  Any other form is a ConfigError, as is a Gaussian that is 0 on every site."""
+    kind, *fields = str(spec_str).split(":")
     n = lattice.n_sites
     try:
-        if parts[0] == "basis":
-            idx = int(parts[1]) if len(parts) > 1 else 0
+        if kind == "basis" and len(fields) <= 1:
+            idx = int(fields[0]) if fields else 0
             if not 0 <= idx < n:
                 raise ConfigError(f"probe_state basis index {idx} out of range [0, {n})")
             v = np.zeros(n, dtype=complex)
             v[idx] = 1.0
             return v
-        if parts[0] == "gaussian":
-            center = float(parts[1]) if len(parts) > 1 else 0.0
-            width = float(parts[2]) if len(parts) > 2 else 1.0
+        if kind == "gaussian" and len(fields) <= 2:
+            center = float(fields[0]) if fields else 0.0
+            width = float(fields[1]) if len(fields) > 1 else 1.0
+            if not (is_finite_number(center) and is_finite_number(width) and width > 0):
+                raise ConfigError(f"probe_state {spec_str!r}: center must be finite, width finite and positive")
             x = (np.arange(n) - (n - 1) / 2.0) * lattice.spacing
-            v = np.exp(-((x - center) ** 2) / (4.0 * width**2)).astype(complex)
+            # an exponent beyond the float range is the zero tail; a width**2 of 0 raises
+            with np.errstate(over="ignore", divide="raise", invalid="raise"):
+                v = np.exp(-((x - center) ** 2) / (4.0 * width**2)).astype(complex)
             norm = np.linalg.norm(v)
             if not norm > 0:
                 raise ConfigError(f"probe_state {spec_str!r} is not a normalizable state on this lattice")
             return v / norm
-    except ValueError as exc:
+    except (ValueError, OverflowError, FloatingPointError) as exc:  # the last two from width**2
         raise ConfigError(f"probe_state {spec_str!r}: {exc}") from exc
-    raise ConfigError(f"unknown probe_state spec: {spec_str!r}")
+    raise ConfigError(f"unknown probe_state spec: {spec_str!r} (forms: basis[:<index>], gaussian[:<center>[:<width>]])")
 
 
 def observable_matrix(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
+    """'position', 'momentum-proxy' or 'file:<path>'; any other form is a ConfigError."""
     parts = str(spec_str).split(":", 1)
-    if parts[0] == "position":
+    if parts == ["position"]:
         return position_operator(lattice)
-    if parts[0] == "momentum-proxy":
+    if parts == ["momentum-proxy"]:
         return sine_momentum_operator(lattice)
     if parts[0] == "file":
         if len(parts) != 2:

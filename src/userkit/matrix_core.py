@@ -141,12 +141,13 @@ def is_unitary(U: np.ndarray) -> bool:
 
 def _hermitian(H) -> np.ndarray:
     """H (or each slice of a stack) checked finite and Hermitian within
-    TOL_EIG, and symmetrized."""
+    TOL_EIG (its `hermiticity_defect`), and symmetrized, from one H^dag."""
     H = _as_square(H, (2, 3))
-    defect = hermiticity_defect(H)
+    H_dag = H.swapaxes(-1, -2).conj()
+    defect = float(np.max(np.abs(H - H_dag)))
     if defect > TOL_EIG:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} > {TOL_EIG:.3e}")
-    return 0.5 * np.add(H, H.swapaxes(-1, -2).conj(), order="C")
+    return 0.5 * np.add(H, H_dag, order="C")
 
 
 def eig_hermitian(H: np.ndarray) -> HermitianEig:

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aqs_magnus import _check_target_spectrum, design_sequence
+from .aqs_magnus import design_sequence
 from .channels import haar_strengths, set_strengths, unitary_stack
-from .errors import BadLength, DimensionMismatch
+from .errors import BadLength, DimensionMismatch, SpectrumOutOfRange
 from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, eigvals_hermitian, expm_product, finite_floats
 from .user_recon import Observable, PureState, required_n_l, user_reconstruct
 
@@ -72,6 +72,13 @@ def band_slack(spread_A: float, lam: float, n_s: int, perturbation: float) -> fl
     2 perturbation; Thompson's exponential formula with Weyl's inequality adds
     these up over the n_s pulses."""
     return pi * (1.0 - lam * spread_A) - 2.0 * n_s * perturbation
+
+
+def _check_target_spectrum(eigenvalues: np.ndarray) -> None:
+    """SpectrumOutOfRange unless the target's eigenvalues lie in [-1, 1] (within TOL_EIG)."""
+    radius = float(np.max(np.abs(eigenvalues)))
+    if radius > 1.0 + TOL_EIG:
+        raise SpectrumOutOfRange(f"target spectrum radius {radius:.6f} > 1")
 
 
 def generate_approx_unitaries(target_A: np.ndarray, config: SearConfig) -> tuple[np.ndarray, np.ndarray]:

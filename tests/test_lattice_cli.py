@@ -34,7 +34,7 @@ from userkit.lattice import (
 )
 from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
 from userkit.oracle import exact_intermediate_expectation
-from userkit.sear import run_sear
+from userkit.sear import SearConfig, run_sear
 from userkit.user_recon import ETA_MAX, Observable, sinc_reconstruct
 
 
@@ -314,6 +314,7 @@ class TestCli:
             ({"lambdas": [0.25, "0.2"]}, "lambdas"),
             ({"kinetic_mod": [True, 0, 0]}, "kinetic_mod"),
             ({"lambdas": 0.25}, "lambdas"),
+            ({"probe_state": "gaussian:0:1e200"}, "probe_state"),
         ],
         ids=[
             "unknown_key",
@@ -342,6 +343,7 @@ class TestCli:
             "lambda_string",
             "kinetic_mod_bool",
             "lambdas_not_list",
+            "probe_gaussian_width_overflow",
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
@@ -382,6 +384,49 @@ class TestCli:
         cfg_path = write_config(tmp_path, "exact-small")
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "basis:0:7",
+            "gaussian:0:1:9",
+            "gaussian:0:-1",
+            "gaussian:0:inf",
+            "gaussian:0:0",
+            "gaussian:0:1e-300",
+            "gaussian:1e300:1",
+            "position:extra",
+            "momentum-proxy:x",
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_spec_string_exit_2(self, tmp_path, capsys, spec):
+        # extra fields, a width that is not finite and positive or whose square
+        # leaves the float range, and a Gaussian beyond the lattice are refused
+        # by name, before any arithmetic warns
+        key = "observable" if spec.startswith(("position", "momentum")) else "probe_state"
+        cfg_path = write_config(tmp_path, "exact-small", **{key: spec})
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert repr(spec) in capsys.readouterr().err
+
+    def test_resolved_config_holds_its_specs(self):
+        cfg = resolve_config({})
+        assert cfg.lattice is cfg.lattice and cfg.sear is cfg.sear
+        assert cfg.lattice == LatticeSpec() and cfg.sear == SearConfig()
+
+    def test_run_builds_each_spec_once_per_resolution(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, "exact-small", output_dir=str(tmp_path / "out"))
+        builds = collections.Counter()
+        for cls in (LatticeSpec, SearConfig):
+
+            def counted(spec, post_init=cls.__post_init__):
+                builds[type(spec).__name__] += 1
+                post_init(spec)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert main(["run", str(cfg_path), "--seed", "3"]) == 0
+        # one build each for the file's resolution and one for the --seed flag's
+        assert builds == {"LatticeSpec": 2, "SearConfig": 2}
 
     @pytest.mark.parametrize("preset", ["exact-small", "noisy-16", "zero-spread"])
     def test_run_matches_library(self, tmp_path, preset):
