@@ -4,9 +4,9 @@ Two pipelines:
 
 * USER -- sample expectation values at integer powers of a simulable
   fractional-power unitary and sinc-interpolate the inaccessible value.
-* SEAR -- run USER with imperfect (Magnus-truncated) discretization
-  sequences, twirl the ensemble-defect channels into a depolarizing noise
-  strength, and report value +/- (noise strength x observable spread).
+* SEAR -- run USER with synthetic imperfect discretization sequences (target
+  plus seeded defect), twirl the ensemble-defect channels into a depolarizing
+  noise strength, and report value +/- (noise strength x observable spread).
 
 Import names from the modules (userkit.sear, userkit.user_recon, ...); the
 package itself holds only __version__.

@@ -4,8 +4,8 @@ is mixed-unitary, with Kraus operators U_a U_k^dag / sqrt(n_a) over the n_a
 members: that weight makes it trace preserving and reproduces the mean of the
 per-member expectation values exactly.  `haar_strengths` is the closed-form
 Haar twirl, `set_strengths` the twirl over an explicit set on a probe; both
-take checked stacks.  `sear.estimate_noise_strength`, the one entry that
-twirls an ensemble, checks them once (`unitary_stack`) and calls the kernels.
+take checked stacks.  The one entry that twirls an ensemble,
+`sear.estimate_noise_strength`, checks them (`matrix_core.unitary_stack`).
 
 No run builds a `DensityMatrix` or a `KrausChannel`.  The test references on
 them live in `oracle`; the classes stay here, where the benchmark tracer
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, DegenerateDenominator, DimensionMismatch, NotTracePreserving, NotUnitary, TraceViolation
-from .matrix_core import BLOCK_ENTRIES, TOL_UNITARY, _as_square, as_matrix, hermiticity_defect, unitarity_defect
+from .errors import BadLength, DegenerateDenominator, DimensionMismatch, NotTracePreserving, TraceViolation
+from .matrix_core import BLOCK_ENTRIES, as_matrix, hermiticity_defect
 from .user_recon import Observable, PureState
 
 
@@ -63,24 +63,6 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
-
-
-def unitary_stack(matrices) -> np.ndarray:
-    """The matrices as one (n, d, d) complex array (an (n, d, d) complex array
-    is read in place, not copied), checked to have one shape, finite, and
-    unitary a block of members per stacked product."""
-    if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
-        stack = _as_square(matrices, (3,))
-    else:
-        matrices = [as_matrix(W) for W in matrices]
-        if len({W.shape for W in matrices}) > 1:
-            raise DimensionMismatch("members differ in dimension")
-        stack = np.asarray(matrices, dtype=complex)
-    rows = max(1, BLOCK_ENTRIES // max(1, stack[0].size)) if len(stack) else 1
-    for start in range(0, len(stack), rows):
-        if unitarity_defect(stack[start : start + rows]) > TOL_UNITARY:
-            raise NotUnitary("member is not unitary")
-    return stack
 
 
 def haar_strengths(U_rows: np.ndarray, members: np.ndarray) -> np.ndarray:

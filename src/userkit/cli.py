@@ -62,13 +62,13 @@ def _write_epsilon_json(cfg: ExperimentConfig, per_k: list, noise_strength: floa
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> int:
-    r = cfg.raw
+def _cmd_run(args) -> int:
+    cfg = _apply_flags(load_config(args.config), args)
     exp = Experiment.from_config(cfg)
     res = run_sear(exp.target_A, exp.psi, exp.O, exp.twirl_set, exp.sear)
 
     out_dir = _output_dir(cfg)
-    emit = set(r["emit"])
+    emit = set(cfg.raw["emit"])
 
     if "samples_csv" in emit:
         lines = ["k,eta,value"]
@@ -106,12 +106,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     print(f"<O_i> ~ {res.mean_value:.12g} +/- {abs(res.error_bar):.12g}")
     return 0
-
-
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    cfg = _apply_flags(cfg, args)
-    return run_experiment(cfg)
 
 
 def _apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,11 @@ MAX_N_SITES = 256
 # Complex entries the simulable twirl set (n_t matrices of n_sites^2, all built
 # before anything runs) may hold: 1 GiB, so n_t = 1024 at 256 sites.
 MAX_TWIRL_ENTRIES = 1 << 26
-# Complex entries the ensemble design (len(lambdas) * n_s pulse matrices of
-# n_sites^2, all held at once) may hold: 16 MiB, so the default 4 x 4 pulses at
-# 256 sites.  At the limit the design takes 0.4-0.8 s and 20-30 MB from 16
-# sites up, but 6 s at 4 sites and 21 s (61 MB) at 2, where the per-matrix
-# overhead of about 80 us dominates (one CPU, one BLAS thread).
+# Pulse entries the design forms: len(lambdas) * n_s matrices of n_sites^2,
+# 16 Mi (the default 4 x 4 pulses at 256 sites).  This bounds design time, not
+# memory: one member's n_s pulses and the two (n_a, d, d) stacks are held.  At
+# the limit: 0.4-0.8 s and 20-30 MB from 16 sites up, but 6 s at 4 sites and
+# 21 s (61 MB) at 2, where ~80 us per matrix dominates (1 CPU, 1 BLAS thread).
 MAX_DESIGN_ENTRIES = 1 << 20
 REAL_KEYS = ("mass", "spacing", "drive_omega", "slope", "evolution_time", "perturbation")
 
@@ -139,6 +140,8 @@ def resolve_config(overrides: dict) -> ExperimentConfig:
         raise ConfigError(
             f"n_t * n_sites^2 = {raw['n_t'] * raw['n_sites'] ** 2} twirl-set entries exceed {MAX_TWIRL_ENTRIES}"
         )
+    if raw["twirl_mode"] == "simulable" and not np.isfinite(1.5 * abs(raw["drive_omega"])):
+        raise ConfigError(f"drive_omega {raw['drive_omega']!r}: drive frequencies up to 1.5 |drive_omega| overflow")
     try:  # their own element and range checks, reported as config errors
         lattice = LatticeSpec(
             n_sites=raw["n_sites"],
@@ -178,9 +181,10 @@ class Experiment:
     def from_config(cls, cfg: ExperimentConfig) -> "Experiment":
         r = cfg.raw
         lattice = cfg.lattice
-        try:  # extreme finite parameters can still overflow the model
-            target_A, rescale = target_A_from_hamiltonian(build_target_hamiltonian(lattice), r["evolution_time"])
-        except ValueError as exc:
+        try:  # extreme finite parameters can still overflow the model: raised, not warned
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                target_A, rescale = target_A_from_hamiltonian(build_target_hamiltonian(lattice), r["evolution_time"])
+        except (ValueError, FloatingPointError) as exc:
             raise ConfigError(f"lattice parameters give an invalid target Hamiltonian: {exc}") from exc
         try:  # a file: observable may hold any matrix
             O = Observable(observable_matrix(r["observable"], lattice))
@@ -245,6 +249,12 @@ def load_config(path: str) -> ExperimentConfig:
     return resolve_config(data)
 
 
+# A probe_state field's number form, stricter than int() and float(), which
+# take '_', blanks, a signed index, 'inf' and 'nan': digits, or a decimal.
+_DECIMAL = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+_NUMBER_FORMS = {"basis": re.compile(r"[0-9]+"), "gaussian": re.compile(_DECIMAL)}
+
+
 def probe_state_vector(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
     """'basis[:<index>]' (index 0 by default) or 'gaussian[:<center>[:<width>]]'
     (center 0 and width 1 by default, in units of a): an index in [0, n_sites),
@@ -252,6 +262,8 @@ def probe_state_vector(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
     underflows to 0.  Any other form is a ConfigError, as is a Gaussian that is 0 on every site."""
     kind, *fields = str(spec_str).split(":")
     n = lattice.n_sites
+    if kind in _NUMBER_FORMS and not all(map(_NUMBER_FORMS[kind].fullmatch, fields)):
+        raise ConfigError(f"probe_state {spec_str!r}: a field is not a plain decimal number (an index is digits)")
     try:
         if kind == "basis" and len(fields) <= 1:
             idx = int(fields[0]) if fields else 0
@@ -273,7 +285,7 @@ def probe_state_vector(spec_str: str, lattice: LatticeSpec) -> np.ndarray:
             if not norm > 0:
                 raise ConfigError(f"probe_state {spec_str!r} is not a normalizable state on this lattice")
             return v / norm
-    except (ValueError, OverflowError, FloatingPointError) as exc:  # the last two from width**2
+    except (OverflowError, FloatingPointError) as exc:  # from width**2
         raise ConfigError(f"probe_state {spec_str!r}: {exc}") from exc
     raise ConfigError(f"unknown probe_state spec: {spec_str!r} (forms: basis[:<index>], gaussian[:<center>[:<width>]])")
 

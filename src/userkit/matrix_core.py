@@ -1,6 +1,6 @@
 """Dense complex-matrix substrate: the one place that decides whether a
 matrix is Hermitian (`_hermitian`, which also symmetrizes it) or unitary
-(`unitarity_defect`), how a Hermitian matrix is decomposed (`HermitianEig`),
+(`unitary_stack`), how a Hermitian matrix is decomposed (`HermitianEig`),
 how many entries a stacked block holds (`BLOCK_ENTRIES`, and
 `PRODUCT_ENTRIES` for an ordered product), how e^{i scale H} is evaluated,
 and how an ordered product of them is formed (`expm_product`).
@@ -25,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import BadLength, NotHermitian, SpectrumOutOfRange
+from .errors import BadLength, DimensionMismatch, NotHermitian, NotUnitary, SpectrumOutOfRange
 
 
 # Largest Hermiticity defect accepted, and the cutoff below which eigenvalue
@@ -135,8 +135,23 @@ def unitarity_defect(U: np.ndarray) -> float:
     return float(np.max(np.abs(G)))
 
 
-def is_unitary(U: np.ndarray) -> bool:
-    return unitarity_defect(as_matrix(U)) <= TOL_UNITARY
+def unitary_stack(matrices) -> np.ndarray:
+    """The matrices as one (n, d, d) complex array (an (n, d, d) complex array
+    is read in place, not copied), checked to have one shape, finite, and
+    unitary a block of members per stacked product (NotUnitary names the defect)."""
+    if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
+        stack = _as_square(matrices, (3,))
+    else:
+        matrices = [as_matrix(W) for W in matrices]
+        if len({W.shape for W in matrices}) > 1:
+            raise DimensionMismatch("members differ in dimension")
+        stack = np.asarray(matrices, dtype=complex)
+    rows = max(1, BLOCK_ENTRIES // max(1, stack[0].size)) if len(stack) else 1
+    for start in range(0, len(stack), rows):
+        defect = unitarity_defect(stack[start : start + rows])
+        if defect > TOL_UNITARY:
+            raise NotUnitary(f"not unitary: |U U^dag - I| reaches {defect:.3e} > {TOL_UNITARY:.0e}")
+    return stack
 
 
 def _hermitian(H) -> np.ndarray:

@@ -20,9 +20,9 @@ from math import pi
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel, haar_strengths, set_strengths, unitary_stack
+from .channels import DensityMatrix, KrausChannel, haar_strengths, set_strengths
 from .errors import BadLength, DimensionMismatch, NotHermitian, SpectrumOutOfRange, TraceViolation, UnphysicalEpsilon
-from .matrix_core import HermitianEig
+from .matrix_core import HermitianEig, unitary_stack
 from .user_recon import Observable, PureState
 
 

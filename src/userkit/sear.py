@@ -18,9 +18,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aqs_magnus import design_sequence
-from .channels import haar_strengths, set_strengths, unitary_stack
+from .channels import haar_strengths, set_strengths
 from .errors import BadLength, DimensionMismatch, SpectrumOutOfRange
-from .matrix_core import TOL_EIG, as_matrix, eig_hermitian, eigvals_hermitian, expm_product, finite_floats
+from .matrix_core import (
+    TOL_EIG, as_matrix, eig_hermitian, eigvals_hermitian, expm_product, finite_floats, unitary_stack
+)
 from .user_recon import Observable, PureState, required_n_l, user_reconstruct
 
 
@@ -74,25 +76,23 @@ def band_slack(spread_A: float, lam: float, n_s: int, perturbation: float) -> fl
     return pi * (1.0 - lam * spread_A) - 2.0 * n_s * perturbation
 
 
-def _check_target_spectrum(eigenvalues: np.ndarray) -> None:
-    """SpectrumOutOfRange unless the target's eigenvalues lie in [-1, 1] (within TOL_EIG)."""
-    radius = float(np.max(np.abs(eigenvalues)))
-    if radius > 1.0 + TOL_EIG:
-        raise SpectrumOutOfRange(f"target spectrum radius {radius:.6f} > 1")
-
-
 def generate_approx_unitaries(target_A: np.ndarray, config: SearConfig) -> tuple[np.ndarray, np.ndarray]:
     """The ensemble as two (n_a, d, d) stacks (U_k, U_sd): row k designs a
     sequence at lambda^(k), multiplies its pulses out to the discretization
-    unitary U_sd, and raises that to tau^(k) = round(1/lambda^(k)) for U_k.
-    A's spectrum is checked once, here, from its eigenvalues."""
+    unitary U_sd, and raises that to tau^(k) = round(1/lambda^(k)) for U_k."""
     target_A = as_matrix(target_A)
-    _check_target_spectrum(eigvals_hermitian(target_A))
-    return _design_ensemble(target_A, config)
+    return _design_ensemble(target_A, eigvals_hermitian(target_A), config)
 
 
-def _design_ensemble(target_A: np.ndarray, config: SearConfig) -> tuple[np.ndarray, np.ndarray]:
-    """`generate_approx_unitaries` for an A whose spectrum is already checked."""
+def _design_ensemble(
+    target_A: np.ndarray, eigenvalues: np.ndarray, config: SearConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """`generate_approx_unitaries` for A with these eigenvalues, which must lie
+    in [-1, 1] (within TOL_EIG): SpectrumOutOfRange, before any design, if not.
+    The one check of A's spectrum, once per ensemble."""
+    radius = float(np.max(np.abs(eigenvalues)))
+    if radius > 1.0 + TOL_EIG:
+        raise SpectrumOutOfRange(f"target spectrum radius {radius:.6f} > 1")
     seeds = np.random.SeedSequence(config.seed).generate_state(len(config.lambdas))
     U_sd = np.empty((len(config.lambdas),) + target_A.shape, dtype=complex)
     for k, lam in enumerate(config.lambdas):
@@ -140,8 +140,7 @@ def run_sear(
     deltas = [band_slack(spread_A, lam, config.n_s, config.perturbation) for lam in config.lambdas]
     for lam, delta in zip(config.lambdas, deltas):  # refuse any member's grid before designing one
         required_n_l(lam, delta)
-    _check_target_spectrum(eig_A.values)
-    U_k, U_sd = _design_ensemble(target_A, config)
+    U_k, U_sd = _design_ensemble(target_A, eig_A.values, config)
     members = [user_reconstruct(psi, O, U, lam, delta) for U, lam, delta in zip(U_sd, config.lambdas, deltas)]
     noise_strength, per_k = estimate_noise_strength(U_k, twirl_set, psi, O)
     spread = O.spread()

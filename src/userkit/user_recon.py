@@ -27,7 +27,7 @@ from .errors import (
     NotNormalized,
     NotUnitary,
 )
-from .matrix_core import HermitianEig, _hermitian, as_matrix, eig_hermitian, is_unitary
+from .matrix_core import HermitianEig, _hermitian, as_matrix, eig_hermitian, unitary_stack
 
 # Vectors held at once by each power chain of sample_integer_powers.
 _SAMPLE_BLOCK = 256
@@ -85,9 +85,7 @@ def spectral_decompose(U) -> HermitianEig:
     its eigenvalues are U's phases, ascending in (-pi, pi] (the closed branch
     [-pi, pi] is ambiguous at the endpoints), and its vectors U's eigenbasis,
     so `.expm_i(eta)` is U^eta on that branch."""
-    U = as_matrix(U)
-    if not is_unitary(U):
-        raise NotUnitary("input is not unitary within tolerance")
+    U = unitary_stack(np.asarray(U)[None])[0]
     # A unitary is normal, so the complex Schur form is diagonal and the Schur
     # basis is an orthonormal eigenbasis (robust under degeneracy, unlike eig).
     import scipy.linalg
@@ -226,7 +224,6 @@ def user_reconstruct(
     """Sample the integer powers k = -n_l .. n_l of U_sd, n_l = required_n_l(lam,
     delta), and interpolate eta = 1 with the same slack's kernel: (value, samples)."""
     n_l = required_n_l(lam, delta)
-    if not is_unitary(U_sd):
-        raise NotUnitary("discretization unitary is not unitary within tolerance")
+    U_sd = unitary_stack(np.asarray(U_sd)[None])[0]
     samples = sample_integer_powers(psi, O, U_sd, n_l)
     return sinc_reconstruct(samples, lam, 1.0, delta), samples

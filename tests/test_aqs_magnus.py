@@ -21,7 +21,7 @@ from userkit.matrix_core import (
     expm_hermitian_i,
     expm_product,
     hermiticity_defect,
-    is_unitary,
+    unitary_stack,
 )
 from userkit.sear import SearConfig, generate_approx_unitaries
 from conftest import random_hermitian, random_target_A
@@ -417,7 +417,7 @@ class TestApproxDiscretizationUnitary:
     def test_always_unitary(self, rng):
         A = random_target_A(rng, 4)
         for p in (0.0, 1e-3, 0.1, 1.0):
-            assert is_unitary(expm_product(design_sequence(A, 0.2, perturbation=p, seed=3), 1.0))
+            unitary_stack([expm_product(design_sequence(A, 0.2, perturbation=p, seed=3), 1.0)])
 
     def test_non_hermitian_term_rejected(self):
         # a term is exponentiated as given: one that is not Hermitian raises,

@@ -7,7 +7,6 @@ from userkit.channels import (
     haar_strengths,
     noise_strength_from_expectation,
     set_strengths,
-    unitary_stack,
 )
 from userkit.errors import (
     BadLength,
@@ -19,7 +18,7 @@ from userkit.errors import (
     TraceViolation,
     UnphysicalEpsilon,
 )
-from userkit.matrix_core import expm_hermitian_i
+from userkit.matrix_core import expm_hermitian_i, unitary_stack
 from userkit.oracle import (
     apply_channel,
     density_from_pure,

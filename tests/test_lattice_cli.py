@@ -32,7 +32,7 @@ from userkit.lattice import (
     shift_matrix,
     target_A_from_hamiltonian,
 )
-from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, is_unitary
+from userkit.matrix_core import expm_hermitian_i, hermiticity_defect, unitary_stack
 from userkit.oracle import exact_intermediate_expectation
 from userkit.sear import SearConfig, run_sear
 from userkit.user_recon import ETA_MAX, Observable, sinc_reconstruct
@@ -73,7 +73,7 @@ class TestLattice:
 
     def test_translation_is_cyclic_unitary(self):
         S = shift_matrix(5)
-        assert is_unitary(S)
+        unitary_stack([S])
         v = np.arange(5.0)
         assert np.allclose(S @ v, np.roll(v, 1))
 
@@ -315,6 +315,10 @@ class TestCli:
             ({"kinetic_mod": [True, 0, 0]}, "kinetic_mod"),
             ({"lambdas": 0.25}, "lambdas"),
             ({"probe_state": "gaussian:0:1e200"}, "probe_state"),
+            ({"drive_omega": 1.7e308, "twirl_mode": "simulable"}, "drive_omega"),
+            ({"spacing": 1e-300}, "lattice"),
+            ({"mass": 5e-324}, "lattice"),
+            ({"evolution_time": 1.7e308, "slope": 10}, "lattice"),
         ],
         ids=[
             "unknown_key",
@@ -344,9 +348,13 @@ class TestCli:
             "kinetic_mod_bool",
             "lambdas_not_list",
             "probe_gaussian_width_overflow",
+            "drive_omega_overflow",
+            "model_overflow_spacing",
+            "model_overflow_mass",
+            "model_overflow_time",
         ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from extreme values
+    @pytest.mark.filterwarnings("error")
     def test_unknown_key_exit_2(self, tmp_path, monkeypatch, capsys, overrides, key):
         monkeypatch.chdir(tmp_path)
         write_matrix_file("obs8.mat", np.diag(np.arange(8.0)))
@@ -397,13 +405,21 @@ class TestCli:
             "gaussian:1e300:1",
             "position:extra",
             "momentum-proxy:x",
+            "basis:1_0",
+            "basis: 3",
+            "basis:+3",
+            "gaussian:1_0:2",
+            "gaussian: 1",
+            "gaussian:0:1_0",
         ],
     )
     @pytest.mark.filterwarnings("error")
     def test_malformed_spec_string_exit_2(self, tmp_path, capsys, spec):
-        # extra fields, a width that is not finite and positive or whose square
-        # leaves the float range, and a Gaussian beyond the lattice are refused
-        # by name, before any arithmetic warns
+        # extra fields, a field not in its kind's number form (digits for a
+        # basis index, a plain decimal for a Gaussian field), a width that is
+        # not finite and positive or whose square leaves the float range, and a
+        # Gaussian beyond the lattice are refused by name, before any
+        # arithmetic warns
         key = "observable" if spec.startswith(("position", "momentum")) else "probe_state"
         cfg_path = write_config(tmp_path, "exact-small", **{key: spec})
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2

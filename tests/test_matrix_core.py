@@ -1,3 +1,5 @@
+import json
+import re
 from math import factorial
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 import scipy.linalg
 
 from userkit import matrix_core
-from userkit.errors import BadLength, NotHermitian, SpectrumOutOfRange
+from userkit.cli import main
+from userkit.config import write_matrix_file
+from userkit.errors import BadLength, NotHermitian, NotUnitary, SpectrumOutOfRange
 from userkit.matrix_core import (
     _MAX_SQUARINGS,
     _THETA,
@@ -19,9 +23,11 @@ from userkit.matrix_core import (
     eigvals_hermitian,
     expm_hermitian_i,
     expm_product,
-    is_unitary,
     unitarity_defect,
+    unitary_stack,
 )
+from userkit.sear import estimate_noise_strength
+from userkit.user_recon import Observable, PureState, spectral_decompose, user_reconstruct
 from conftest import random_hermitian
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -82,21 +88,54 @@ def test_expm_group_property(rng):
 
 
 def test_is_unitary():
-    assert is_unitary(np.eye(4))
-    assert not is_unitary(np.diag([1.0, 2.0]))
+    unitary_stack(np.eye(4)[None])
+    with pytest.raises(NotUnitary, match=r"reaches 3\.000e\+00 > 1e-09"):
+        unitary_stack(np.diag([1.0, 2.0])[None])
     # [[1, e], [0, 1]] has U U^dag - I = [[e^2, e], [e, 0]], and 1 + e^2 rounds
     # to 1: the defect is e exactly, and the check switches exactly at TOL_UNITARY
-    for e, unitary in ((TOL_UNITARY, True), (np.nextafter(TOL_UNITARY, 1.0), False)):
-        U = np.array([[1.0, e], [0.0, 1.0]])
-        assert unitarity_defect(U) == e
-        assert is_unitary(U) is unitary
+    U = np.array([[1.0, TOL_UNITARY], [0.0, 1.0]])
+    assert unitarity_defect(U) == TOL_UNITARY
+    assert np.array_equal(unitary_stack(U[None])[0], U)
+    U[0, 1] = np.nextafter(TOL_UNITARY, 1.0)
+    assert unitarity_defect(U) == U[0, 1]
+    with pytest.raises(NotUnitary):
+        unitary_stack(U[None])
+
+
+def _decompose_cli(U, tmp_path, capsys):
+    """`userkit decompose` on U's matrix file; its exit-3 diagnostic raised again as NotUnitary."""
+    path = str(tmp_path / "u.mat")
+    write_matrix_file(path, U)
+    code, err = main(["decompose", path]), capsys.readouterr().err
+    if code == 3 and json.loads(err)["error"] == "NotUnitary":
+        raise NotUnitary(json.loads(err)["message"])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "entry", ["user_reconstruct", "spectral_decompose", "members", "explicit_set", "userkit_decompose"]
+)
+def test_unitarity_boundary_at_every_entry(entry, tmp_path, capsys):
+    # every entry that takes a unitary checks it with `unitary_stack`: a defect
+    # of exactly TOL_UNITARY passes, the next float up is refused with its defect
+    psi, O = PureState(np.array([1.0, 0.0])), Observable(np.diag([1.0, -1.0]))
+    call = {
+        "user_reconstruct": lambda U: user_reconstruct(psi, O, U, 0.25, 1.0),
+        "spectral_decompose": spectral_decompose,
+        "members": lambda U: estimate_noise_strength([np.eye(2), U], None, psi, O),
+        "explicit_set": lambda U: estimate_noise_strength([np.eye(2)], [np.eye(2), U], psi, O),
+        "userkit_decompose": lambda U: _decompose_cli(U, tmp_path, capsys),
+    }[entry]
+    call(np.array([[1.0, TOL_UNITARY], [0.0, 1.0]]))
+    above = np.nextafter(TOL_UNITARY, 1.0)
+    with pytest.raises(NotUnitary, match=re.escape(f"|U U^dag - I| reaches {above:.3e} > 1e-09")):
+        call(np.array([[1.0, above], [0.0, 1.0]]))
 
 
 def test_is_unitary_qr_gaussian(rng):
     Z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     Q, _ = np.linalg.qr(Z)
-    assert is_unitary(Q)
-    assert is_unitary(expm_hermitian_i(random_hermitian(rng, 5), 2.3))
+    unitary_stack([Q, expm_hermitian_i(random_hermitian(rng, 5), 2.3)])
     # a stack's defect is the largest of its slices' single defects, bit for bit
     stack = np.stack([Q, expm_hermitian_i(random_hermitian(rng, 5), 2.3), (1.0 + 1e-7) * Q, np.eye(5)])
     defects = [unitarity_defect(U) for U in stack]
